@@ -24,7 +24,8 @@ class HyperParams:
     """Stepsizes and schedule knobs shared across the algorithm family.
 
     beta defaults to 1/tau when left unset.  p is the communication
-    probability of the probabilistic-skipping method; zeta its dual stepsize;
+    probability of the probabilistic-skipping method; zeta its dual stepsize,
+    defaulting to p/alpha (mixing weight alpha*zeta/p = 1);
     eta_pd the relaxation of the primal-dual single-step method; gamma the
     server/global stepsize of the server-workers variants.
     """
@@ -51,7 +52,7 @@ class HyperParams:
 
     @property
     def zeta_eff(self) -> float:
-        return 1.0 / self.alpha if self.zeta is None else self.zeta
+        return self.p / self.alpha if self.zeta is None else self.zeta
 
 
 @dataclass(frozen=True)
@@ -396,14 +397,8 @@ ALGORITHMS = ("led", "led1", "ed", "uda_ed", "pdfp2o", "scaffnew", "dsgd",
 
 CENTRALIZED = {"scaffold", "local_sgd", "fedgate", "vrl_sgd", "led_server"}
 
-VECTORS_PER_ROUND = {
-    "led": 1, "led1": 1, "ed": 1, "uda_ed": 1, "pdfp2o": 1,
-    "dsgd": 1, "local_dsgd": 1, "local_sgd": 1,
-    "fedgate": 1, "vrl_sgd": 1, "led_server": 1,
-    "kgt": 2, "scaffold": 2,
-    # scaffnew pays per communicating round; see RoundOutput.vectors_per_link
-    "scaffnew": 1,
-}
+# methods whose step calls the exact oracle and ignores gradient noise
+EXACT_ORACLE = {"ed", "uda_ed"}
 
 
 class Driver:
@@ -418,6 +413,10 @@ class Driver:
             if not np.allclose(w.w, ref.w, atol=1e-12):
                 raise ValueError(
                     f"{algo} is a centralized method and requires the complete graph")
+        if algo in EXACT_ORACLE and problem.sigma > 0:
+            raise ValueError(
+                f"{algo} uses exact gradients and cannot run on a noisy problem "
+                f"(sigma = {problem.sigma:g}); set sigma = 0")
         self.algo = algo
         self.problem = problem
         self.w = w

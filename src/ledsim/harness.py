@@ -6,7 +6,7 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -219,6 +219,8 @@ class TuneResult:
     best: Optional[HyperParams]
     points: tuple
     target: float
+    # the trace the tuner ran at `best`; None when the target was not reached
+    best_trace: Optional[Trace] = field(default=None, compare=False, repr=False)
 
     @property
     def achieved(self) -> bool:
@@ -251,6 +253,7 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
         raise ValueError("empty tuning grid")
     points = []
     best_hp = None
+    best_trace = None
     best_key = None
     for alpha in alphas:
         hp = replace(cfg.hyper, alpha=float(alpha))
@@ -269,7 +272,9 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
             if best_key is None or key < best_key:
                 best_key = key
                 best_hp = hp
-    return TuneResult(best=best_hp, points=tuple(points), target=target)
+                best_trace = trace
+    return TuneResult(best=best_hp, points=tuple(points), target=target,
+                      best_trace=best_trace)
 
 
 @dataclass(frozen=True)
@@ -285,7 +290,8 @@ def compare(cfgs: Sequence[ExperimentConfig], target: float,
     """Tune each config to the target and report rounds and vectors per link.
 
     All configs are expected to share the problem and topology so the rows
-    are directly comparable.
+    are directly comparable.  Each row is read from the trace the tuner ran
+    at its winning stepsize.
     """
     rows = []
     for cfg in cfgs:
@@ -294,11 +300,10 @@ def compare(cfgs: Sequence[ExperimentConfig], target: float,
         if result.best is None:
             rows.append(ComparisonRow(cfg.algorithm, None, None, None))
             continue
-        trace = run_experiment(replace(cfg, hyper=result.best), jobs=jobs)
+        trace = result.best_trace
         rtt = trace.rounds_to_target(target)
         rows.append(ComparisonRow(cfg.algorithm, result.best.alpha, rtt,
-                                  trace.vectors_at_round(rtt) if rtt is not None
-                                  else None))
+                                  trace.vectors_at_round(rtt)))
     return rows
 
 

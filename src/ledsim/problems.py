@@ -134,9 +134,14 @@ class LogisticProblem(Problem):
         self.dim = dims.pop()
         self.reg = float(reg)
         self.sigma = float(sigma)
-        # Stacked copies for vectorized whole-network gradient evaluation.
-        self._H = np.stack([d.features for d in datasets])       # (N, S, m)
-        self._Y = np.stack([d.labels for d in datasets]).astype(float)  # (N, S)
+        # Labels folded into transposed features for the vectorized
+        # whole-network gradient: _zt[n] = (-y_s h_s)^T, shape (N, m, S).
+        # It must be C-contiguous: both products in grads then run over
+        # contiguous S (about 2x faster), and a pickled copy sent to a
+        # worker process keeps the layout, so the sums round the same way.
+        self._zt = np.empty((self.n_nodes, self.dim, len(datasets[0].labels)))
+        for zt, d in zip(self._zt, datasets):
+            np.multiply(d.features.T, -d.labels, out=zt)
 
     def value(self, i: int, x: np.ndarray) -> float:
         d = self.datasets[i]
@@ -154,11 +159,11 @@ class LogisticProblem(Problem):
 
     def grads(self, x_nodes: np.ndarray) -> np.ndarray:
         # hot path: batched matmuls and a tanh-form sigmoid (underflow in the
-        # far tails is harmless for the gradient)
-        margins = (self._H @ x_nodes[:, :, None])[:, :, 0]       # (N, S)
-        s = 0.5 * (1.0 + np.tanh(-0.5 * self._Y * margins))
-        coeff = (-self._Y * s)[:, None, :]                       # (N, 1, S)
-        loss = (coeff @ self._H)[:, 0, :] / self._H.shape[1]
+        # far tails is harmless for the gradient).  Agrees with grad() to
+        # rounding (~1e-14), not bitwise.
+        t = (x_nodes[:, None, :] @ self._zt)[:, 0, :]            # (N, S)
+        s = 0.5 * (1.0 + np.tanh(0.5 * t))
+        loss = (self._zt @ s[:, :, None])[:, :, 0] / self._zt.shape[2]
         reg = self.reg * 2.0 * x_nodes / (1.0 + x_nodes * x_nodes) ** 2
         return loss + reg
 
@@ -169,7 +174,7 @@ class LogisticProblem(Problem):
         for d in self.datasets:
             gram = d.features.T @ d.features
             worst = max(worst, float(np.linalg.eigvalsh(gram)[-1]))
-        return worst / (4.0 * self._H.shape[1]) + 2.0 * self.reg
+        return worst / (4.0 * self._zt.shape[2]) + 2.0 * self.reg
 
 
 def synth_logistic(cfg: SynthConfig, seed: int) -> LogisticProblem:

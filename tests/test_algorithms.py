@@ -370,6 +370,7 @@ def test_hyperparams_defaults_and_validation():
     h = HyperParams(alpha=0.1, tau=5)
     assert h.beta_eff == pytest.approx(0.2)
     assert h.zeta_eff == pytest.approx(10.0)
+    assert HyperParams(alpha=0.1, p=0.5).zeta_eff == pytest.approx(5.0)
     assert HyperParams(alpha=0.1, beta=0.7).beta_eff == 0.7
     with pytest.raises(ValueError):
         HyperParams(alpha=-1.0)
@@ -395,11 +396,14 @@ def test_communication_accounting_matches_costs(quad6, ring6, complete6):
         None).vectors_per_link == 2
 
 
-def test_driver_rejects_unknown_and_incompatible(quad6, ring6):
+def test_driver_rejects_unknown_and_incompatible(quad6, quad6_noisy, ring6):
     with pytest.raises(ValueError):
         Driver("bogus", quad6, ring6, HyperParams())
     with pytest.raises(ValueError):
         Driver("scaffold", quad6, ring6, HyperParams())
+    for algo in ("ed", "uda_ed"):
+        with pytest.raises(ValueError, match=rf"{algo} .*sigma = 0\.05"):
+            Driver(algo, quad6_noisy, ring6, HyperParams())
 
 
 def test_driver_positions_shape(quad6, ring6, complete6):

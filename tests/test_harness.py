@@ -1,13 +1,17 @@
 """Experiment runner: averaging, determinism, tuning, floors, serialization."""
 
+import pickle
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from ledsim import (ExperimentConfig, HyperParams, QuadraticProblem,
                     complete_mixing, metropolis_weights, build_graph,
                     noise_floor, quadratic_problem, run_experiment,
-                    tune_to_target)
+                    synth_logistic, tune_to_target)
 from ledsim.harness import Trace, compare, comparison_csv, default_alpha_grid
+from ledsim.problems import SynthConfig
 
 
 def _cfg(**kw):
@@ -47,12 +51,17 @@ def test_single_node_geometric_contraction():
 
 
 def test_reproducible_across_jobs():
-    cfg = _cfg(sigma=0.05, num_runs=4, rounds=30)
-    serial = run_experiment(cfg, jobs=1)
-    parallel = run_experiment(cfg, jobs=2)
-    assert np.array_equal(serial.grad_norm_sq, parallel.grad_norm_sq)
-    assert np.array_equal(serial.consensus_err, parallel.consensus_err)
-    assert np.array_equal(serial.vectors_per_link, parallel.vectors_per_link)
+    # the logistic problem reaches workers pickled: its kernel data must keep
+    # a layout that rounds the same way there
+    logistic = synth_logistic(SynthConfig(n_nodes=6, dim=4, n_samples=50,
+                                          sigma=0.05), seed=7)
+    for cfg in (_cfg(sigma=0.05, num_runs=4, rounds=30),
+                _cfg(problem=logistic, num_runs=4, rounds=30)):
+        serial = run_experiment(cfg, jobs=1)
+        parallel = run_experiment(cfg, jobs=2)
+        assert np.array_equal(serial.grad_norm_sq, parallel.grad_norm_sq)
+        assert np.array_equal(serial.consensus_err, parallel.consensus_err)
+        assert np.array_equal(serial.vectors_per_link, parallel.vectors_per_link)
 
 
 def test_noisy_average_differs_from_single_run():
@@ -194,6 +203,16 @@ def test_tune_tie_breaks_to_larger_alpha():
     assert res.best.alpha == pytest.approx(0.1)
 
 
+def test_tune_scaffnew_default_zeta_with_skipping(quad6_noisy, ring6):
+    # the default dual stepsize keeps alpha*zeta/p inside the valid region
+    cfg = ExperimentConfig(algorithm="scaffnew", problem=quad6_noisy,
+                           mixing=ring6, hyper=HyperParams(alpha=0.1, p=0.5),
+                           rounds=60, num_runs=2)
+    res = tune_to_target(cfg, 1e-2, alphas=[0.02, 0.05, 0.1])
+    assert len(res.points) == 3
+    assert not any(p.diverged for p in res.points)
+
+
 def test_default_alpha_grid_shape():
     grid = default_alpha_grid(1.0)
     assert len(grid) == 20
@@ -225,6 +244,23 @@ def test_compare_reports_vector_costs():
     assert csv_text.splitlines()[0] == \
         "algorithm,alpha,rounds_to_target,vectors_to_target"
     assert len(csv_text.splitlines()) == 3
+
+
+def test_compare_rows_equal_rerun_of_tuned_config():
+    cfgs = [_cfg(algorithm=a, sigma=0.01, num_runs=2, rounds=150)
+            for a in ("led", "kgt")]
+    grids = {"led": [0.05, 0.1, 0.2], "kgt": [0.05, 0.1, 0.2]}
+    rows = compare(cfgs, 1e-5, grids=grids)
+    for cfg, row in zip(cfgs, rows):
+        tuned = tune_to_target(cfg, 1e-5, alphas=grids[cfg.algorithm])
+        assert tuned.best is not None and row.alpha == tuned.best.alpha
+        rerun = run_experiment(replace(cfg, hyper=tuned.best))
+        for f in fields(Trace):
+            assert pickle.dumps(getattr(rerun, f.name)) == \
+                pickle.dumps(getattr(tuned.best_trace, f.name)), f.name
+        rtt = rerun.rounds_to_target(1e-5)
+        assert row.rounds_to_target == rtt
+        assert row.vectors_to_target == rerun.vectors_at_round(rtt)
 
 
 def test_compare_single_algorithm_degenerate():

@@ -109,6 +109,27 @@ def test_batched_grads_match_per_node(small_logistic):
     assert np.max(np.abs(batched - loop)) <= 1e-12
 
 
+def _per_node_grads(problem, xs):
+    return np.stack([problem.grad(i, xs[i]) for i in range(problem.n_nodes)])
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+def test_vectorized_logistic_grads_match_per_node_grad(scale):
+    # scale 30 puts most margins deep in the sigmoid's saturated tails
+    prob = synth_logistic(SynthConfig(n_nodes=4, dim=5, n_samples=200), seed=3)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        xs = scale * rng.normal(size=(prob.n_nodes, prob.dim))
+        loop = _per_node_grads(prob, xs)
+        err = np.max(np.abs(prob.grads(xs) - loop))
+        assert err <= 1e-12 * np.max(np.abs(loop))
+        # grads_at passes one point broadcast to every node (zero row stride)
+        shared = np.broadcast_to(xs[0], xs.shape)
+        loop = _per_node_grads(prob, shared)
+        err = np.max(np.abs(prob.grads_at(xs[0]) - loop))
+        assert err <= 1e-12 * np.max(np.abs(loop))
+
+
 def test_lipschitz_bounds_observed_curvature(small_logistic):
     lip = small_logistic.lipschitz()
     assert np.isfinite(lip) and lip > 0

@@ -1,8 +1,12 @@
 """Path-addressed stream contract: reproducible, order-independent, disjoint."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ledsim import RngStream
+
+_labels = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.text(max_size=8))
 
 
 def test_same_seed_and_path_reproduce_draws():
@@ -47,3 +51,25 @@ def test_scaled_normal_and_uniform_range():
 def test_generator_is_pure_address():
     s = RngStream(3).child("g")
     assert np.array_equal(s.generator().random(10), s.generator().random(10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 63), path=st.lists(_labels, max_size=5),
+       size=st.one_of(st.integers(0, 40),
+                      st.tuples(st.integers(1, 16), st.integers(1, 6))),
+       scale=st.sampled_from([1.0, 0.5, 1e-3]))
+def test_draws_equal_fresh_generator_draws(seed, path, size, scale):
+    s = RngStream(seed, tuple(path))
+    held = s.generator()
+    first = held.standard_normal(size)
+    # draws on other streams between two draws of a held generator
+    assert np.array_equal(s.normal(size, scale), scale * first)
+    other = RngStream(seed + 1, tuple(path)).child("other")
+    assert np.array_equal(other.normal(size),
+                          other.generator().standard_normal(size))
+    assert s.uniform() == float(s.generator().random())
+    # the held generator continues its own sequence, untouched by the above
+    fresh = s.generator()
+    fresh.standard_normal(size)
+    assert np.array_equal(held.standard_normal(size), fresh.standard_normal(size))
+    assert held.random() == fresh.random()
