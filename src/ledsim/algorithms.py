@@ -10,13 +10,13 @@ which is what the equivalence tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .problems import Problem
 from .rng import RngStream
-from .topology import MixingMatrix, complete_mixing
+from .topology import MixingMatrix
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,12 @@ class HyperParams:
             raise ValueError("tau must be >= 1")
         if not 0 < self.p <= 1:
             raise ValueError("p must be in (0, 1]")
+        for name in ("beta", "zeta"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive when set")
+        if self.zeta is not None and self.alpha * self.zeta / self.p > 1.0 + 1e-12:
+            raise ValueError(f"zeta = {self.zeta!r} puts alpha*zeta/p above 1 "
+                             f"at alpha = {self.alpha!r}")
 
     @property
     def beta_eff(self) -> float:
@@ -388,103 +394,109 @@ def led_server_round(state: GateState, problem: Problem, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# Uniform driver interface for the harness
+# Method table and the uniform driver interface for the harness
 # ---------------------------------------------------------------------------
 
-ALGORITHMS = ("led", "led1", "ed", "uda_ed", "pdfp2o", "scaffnew", "dsgd",
-              "local_dsgd", "kgt", "scaffold", "local_sgd", "fedgate",
-              "vrl_sgd", "led_server")
+@dataclass(frozen=True)
+class MethodSpec:
+    """init(x0, problem, w, h) builds the first state; step(state, problem, w,
+    h, stream) runs one round.  A centralized method needs the complete graph;
+    an exact_oracle one calls the exact gradient and refuses gradient noise."""
 
-CENTRALIZED = {"scaffold", "local_sgd", "fedgate", "vrl_sgd", "led_server"}
+    init: Callable
+    step: Callable
+    centralized: bool = False
+    exact_oracle: bool = False
 
-# methods whose step calls the exact oracle and ignores gradient noise
-EXACT_ORACLE = {"ed", "uda_ed"}
+
+def _zero_init(cls, shared=False):
+    """init of cls(x, correction): x0, or its mean as a centralized method's
+    shared iterate, with every node's correction at zero."""
+    return lambda x0, p, w, h: cls(x0.mean(axis=0) if shared else x0,
+                                   np.zeros_like(x0))
+
+
+# Steps take (state, problem, w, h, stream).  led1 and dsgd pin tau = 1,
+# local_sgd is local_dsgd on the complete graph, vrl_sgd is fedgate with
+# alpha * gamma = 1.
+METHODS = {
+    "led": MethodSpec(lambda x0, p, w, h: led_init(x0, w), led_round),
+    "led1": MethodSpec(lambda x0, p, w, h: led_init(x0, w), lambda s, p, w, h, r:
+                       led1_step(s, p, w, h.alpha, h.beta_eff, r)),
+    "ed": MethodSpec(lambda x0, p, w, h: ed_init(x0, p, w, h.alpha),
+                     lambda s, p, w, h, r: ed_eliminated_step(s, p, w, h.alpha),
+                     exact_oracle=True),
+    "uda_ed": MethodSpec(lambda x0, p, w, h: uda_ed_init(x0, w),
+                         lambda s, p, w, h, r: uda_ed_step(s, p, w, h.alpha),
+                         exact_oracle=True),
+    "pdfp2o": MethodSpec(_zero_init(PrimalDualState), lambda s, p, w, h, r:
+                         pdfp2o_step(s, p, w, h.alpha, h.eta_pd, r)),
+    "scaffnew": MethodSpec(_zero_init(ScaffnewState), lambda s, p, w, h, r:
+                           scaffnew_round(s, p, w, h.alpha, h.zeta_eff, h.p, r)),
+    "dsgd": MethodSpec(lambda x0, p, w, h: PrimalState(x0), lambda s, p, w, h, r:
+                       local_dsgd_round(s, p, w, h.alpha, 1, r)),
+    "local_dsgd": MethodSpec(lambda x0, p, w, h: PrimalState(x0), lambda s, p, w, h, r:
+                             local_dsgd_round(s, p, w, h.alpha, h.tau, r)),
+    "kgt": MethodSpec(_zero_init(TrackingState), lambda s, p, w, h, r:
+                      k_gt_round(s, p, w, h.alpha, h.tau, r)),
+    "scaffold": MethodSpec(
+        lambda x0, p, w, h: ScaffoldState(x0.mean(axis=0), np.zeros_like(x0),
+                                          np.zeros(x0.shape[1])),
+        lambda s, p, w, h, r: scaffold_round(s, p, h.alpha, h.tau, r),
+        centralized=True),
+    "local_sgd": MethodSpec(lambda x0, p, w, h: PrimalState(x0), lambda s, p, w, h, r:
+                            local_dsgd_round(s, p, w, h.alpha, h.tau, r),
+                            centralized=True),
+    "fedgate": MethodSpec(_zero_init(GateState, shared=True), lambda s, p, w, h, r:
+                          fedgate_round(s, p, h.alpha, h.gamma, h.tau, r),
+                          centralized=True),
+    "vrl_sgd": MethodSpec(_zero_init(GateState, shared=True), lambda s, p, w, h, r:
+                          fedgate_round(s, p, h.alpha, 1.0 / h.alpha, h.tau, r),
+                          centralized=True),
+    "led_server": MethodSpec(_zero_init(GateState, shared=True), lambda s, p, w, h, r:
+                             led_server_round(s, p, h.alpha, h.beta_eff, h.gamma,
+                                              h.tau, r), centralized=True),
+}
+
+ALGORITHMS = tuple(METHODS)
+CENTRALIZED = frozenset(a for a, spec in METHODS.items() if spec.centralized)
+
+
+def method(algo: str, problem: Problem, w: MixingMatrix) -> MethodSpec:
+    """The table entry of algo, once it is known to run on problem and w."""
+    spec = METHODS.get(algo)
+    if spec is None:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if spec.centralized and w.mixing_rate > 1e-12:
+        raise ValueError(
+            f"{algo} is a centralized method and requires the complete graph")
+    if spec.exact_oracle and problem.sigma > 0:
+        raise ValueError(
+            f"{algo} uses exact gradients and cannot run on a noisy problem "
+            f"(sigma = {problem.sigma:g}); set sigma = 0")
+    return spec
 
 
 class Driver:
     """init/step/positions adapter so the harness can run any method."""
 
     def __init__(self, algo: str, problem: Problem, w: MixingMatrix,
-                 h: HyperParams, init_mode: str = "dual_from_mixing"):
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}")
-        if algo in CENTRALIZED:
-            ref = complete_mixing(w.n)
-            if not np.allclose(w.w, ref.w, atol=1e-12):
-                raise ValueError(
-                    f"{algo} is a centralized method and requires the complete graph")
-        if algo in EXACT_ORACLE and problem.sigma > 0:
-            raise ValueError(
-                f"{algo} uses exact gradients and cannot run on a noisy problem "
-                f"(sigma = {problem.sigma:g}); set sigma = 0")
-        self.algo = algo
+                 h: HyperParams):
+        self.spec = method(algo, problem, w)
         self.problem = problem
         self.w = w
         self.h = h
-        self.init_mode = init_mode
 
     def init(self, x0: np.ndarray):
-        x0 = np.asarray(x0, dtype=float)
-        a = self.algo
-        if a in ("led", "led1"):
-            return led_init(x0, self.w, self.init_mode)
-        if a == "ed":
-            return ed_init(x0, self.problem, self.w, self.h.alpha)
-        if a == "uda_ed":
-            return uda_ed_init(x0, self.w)
-        if a == "pdfp2o":
-            return PrimalDualState(x=x0, y=np.zeros_like(x0))
-        if a == "scaffnew":
-            return ScaffnewState(x=x0, z=np.zeros_like(x0))
-        if a in ("dsgd", "local_dsgd", "local_sgd"):
-            return PrimalState(x=x0)
-        if a == "kgt":
-            return TrackingState(x=x0, c=np.zeros_like(x0))
-        if a == "scaffold":
-            xm = x0.mean(axis=0)
-            zeros = np.zeros((self.problem.n_nodes, self.problem.dim))
-            return ScaffoldState(x=xm, c=zeros, c_bar=zeros.mean(axis=0))
-        if a in ("fedgate", "vrl_sgd", "led_server"):
-            return GateState(x=x0.mean(axis=0),
-                             y=np.zeros((self.problem.n_nodes, self.problem.dim)))
-        raise AssertionError(a)
+        return self.spec.init(np.asarray(x0, dtype=float), self.problem,
+                              self.w, self.h)
 
     def step(self, state, stream: Optional[RngStream]) -> RoundOutput:
-        a, h, p, w = self.algo, self.h, self.problem, self.w
-        if a == "led":
-            return led_round(state, p, w, h, stream)
-        if a == "led1":
-            return led1_step(state, p, w, h.alpha, h.beta_eff, stream)
-        if a == "ed":
-            return ed_eliminated_step(state, p, w, h.alpha)
-        if a == "uda_ed":
-            return uda_ed_step(state, p, w, h.alpha)
-        if a == "pdfp2o":
-            return pdfp2o_step(state, p, w, h.alpha, h.eta_pd, stream)
-        if a == "scaffnew":
-            return scaffnew_round(state, p, w, h.alpha, h.zeta_eff, h.p, stream)
-        if a == "dsgd":
-            return local_dsgd_round(state, p, w, h.alpha, 1, stream)
-        if a in ("local_dsgd", "local_sgd"):
-            return local_dsgd_round(state, p, w, h.alpha, h.tau, stream)
-        if a == "kgt":
-            return k_gt_round(state, p, w, h.alpha, h.tau, stream)
-        if a == "scaffold":
-            return scaffold_round(state, p, h.alpha, h.tau, stream)
-        if a == "fedgate":
-            return fedgate_round(state, p, h.alpha, h.gamma, h.tau, stream)
-        if a == "vrl_sgd":
-            return fedgate_round(state, p, h.alpha, 1.0 / h.alpha, h.tau, stream)
-        if a == "led_server":
-            return led_server_round(state, p, h.alpha, h.beta_eff, h.gamma,
-                                    h.tau, stream)
-        raise AssertionError(a)
+        return self.spec.step(state, self.problem, self.w, self.h, stream)
 
     def positions(self, state) -> np.ndarray:
         """Node estimates as an (N, m) matrix (replicated for shared iterates)."""
-        if self.algo == "ed":
-            return state.x_curr
-        x = state.x
+        x = state.x_curr if isinstance(state, EdState) else state.x
         if x.ndim == 1:
             return np.broadcast_to(x, (self.problem.n_nodes, self.problem.dim))
         return x

@@ -12,7 +12,7 @@ import csv
 import sys
 
 from . import topology as topo
-from .algorithms import CENTRALIZED, HyperParams
+from .algorithms import HyperParams
 from .harness import (ExperimentConfig, comparison_csv, compare,
                       default_alpha_grid, run_experiment, tune_to_target)
 from .problems import SynthConfig, quadratic_problem, synth_logistic
@@ -35,7 +35,7 @@ KNOWN_KEYS = {
     "hyperparameters.tau", "hyperparameters.p", "hyperparameters.zeta",
     "hyperparameters.eta_pd",
     "harness.rounds", "harness.num_runs", "harness.base_seed",
-    "harness.cadence", "harness.target", "harness.init_mode",
+    "harness.cadence", "harness.target",
 }
 
 
@@ -68,9 +68,9 @@ def _merged(args, extra_flag_map: dict) -> dict:
     return cfg
 
 
-def _get(cfg: dict, key: str, cast, default=None):
+def _get(cfg: dict, key: str, cast, default=...):
     if key not in cfg:
-        if default is None:
+        if default is ...:
             raise ConfigError(f"missing required key {key!r}")
         return default
     raw = cfg[key]
@@ -89,7 +89,7 @@ def build_mixing(cfg: dict) -> topo.MixingMatrix:
         kind, n,
         rows=_get(cfg, "topology.rows", int, 0) or None,
         cols=_get(cfg, "topology.cols", int, 0) or None,
-        p=_get(cfg, "topology.p", float, -1.0) if "topology.p" in cfg else None,
+        p=_get(cfg, "topology.p", float, None),
         seed=_get(cfg, "topology.seed", int, 0))
     weights = _get(cfg, "topology.weights", str, "metropolis")
     if weights != "metropolis":
@@ -127,15 +127,13 @@ def build_problem(cfg: dict):
 
 
 def build_hyper(cfg: dict) -> HyperParams:
-    beta = _get(cfg, "hyperparameters.beta", float, 0.0)
-    zeta = _get(cfg, "hyperparameters.zeta", float, 0.0)
     return HyperParams(
         alpha=_get(cfg, "hyperparameters.alpha", float, 0.1),
-        beta=beta or None,
+        beta=_get(cfg, "hyperparameters.beta", float, None),
         gamma=_get(cfg, "hyperparameters.gamma", float, 1.0),
         tau=_get(cfg, "hyperparameters.tau", int, 1),
         p=_get(cfg, "hyperparameters.p", float, 1.0),
-        zeta=zeta or None,
+        zeta=_get(cfg, "hyperparameters.zeta", float, None),
         eta_pd=_get(cfg, "hyperparameters.eta_pd", float, 1.0))
 
 
@@ -146,17 +144,13 @@ def build_experiment(cfg: dict, algo: str) -> ExperimentConfig:
     mixing = build_mixing(cfg)
     if problem.n_nodes != mixing.n:
         raise ConfigError("problem.n_nodes must match topology.n")
-    if algo in CENTRALIZED and mixing.mixing_rate > 1e-12:
-        raise ConfigError(
-            f"{algo} is centralized; use the complete graph topology")
     return ExperimentConfig(
         algorithm=algo, problem=problem, mixing=mixing,
         hyper=build_hyper(cfg),
         rounds=_get(cfg, "harness.rounds", int, 200),
         num_runs=_get(cfg, "harness.num_runs", int, 100),
         base_seed=_get(cfg, "harness.base_seed", int, 0),
-        cadence=_get(cfg, "harness.cadence", int, 1),
-        init_mode=_get(cfg, "harness.init_mode", str, "dual_from_mixing"))
+        cadence=_get(cfg, "harness.cadence", int, 1))
 
 
 def _echo_lines(cfg: dict) -> list:

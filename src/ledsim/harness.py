@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algorithms import Driver, HyperParams
+from .algorithms import Driver, HyperParams, method
 from .problems import Problem
 from .rng import RngStream
 from .topology import MixingMatrix
@@ -30,11 +30,11 @@ class ExperimentConfig:
     base_seed: int = 0
     cadence: int = 1            # record every k-th round (round 0 always)
     x0: Optional[np.ndarray] = None
-    init_mode: str = "dual_from_mixing"
 
     def __post_init__(self):
         if self.rounds < 1 or self.num_runs < 1 or self.cadence < 1:
             raise ValueError("rounds, num_runs, and cadence must be >= 1")
+        method(self.algorithm, self.problem, self.mixing)
 
     def initial_positions(self) -> np.ndarray:
         if self.x0 is not None:
@@ -109,7 +109,7 @@ def _single_run(cfg: ExperimentConfig, run: int):
     machinery only affects the trajectory.
     """
     problem = cfg.problem
-    driver = Driver(cfg.algorithm, problem, cfg.mixing, cfg.hyper, cfg.init_mode)
+    driver = Driver(cfg.algorithm, problem, cfg.mixing, cfg.hyper)
     state = driver.init(cfg.initial_positions())
     run_stream = RngStream(cfg.base_seed).child("run", run)
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
@@ -191,10 +191,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
     cons = avg(2)
     gap_all = avg(3)
     gap = None if np.all(np.isnan(gap_all)) else gap_all
-    vecs = results[0][4][:n_valid]  # communication ledger is deterministic*
-    # *scaffnew coin flips vary per run: average the ledger instead
-    if cfg.algorithm == "scaffnew":
-        vecs = avg(4)
+    vecs = avg(4)  # random communication skips vary the ledger per run
     dist = None
     if results[0][5] is not None:
         dist = avg(5)
@@ -251,24 +248,25 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
         alphas = default_alpha_grid(1.0 / cfg.problem.lipschitz())
     if len(alphas) == 0:
         raise ValueError("empty tuning grid")
+    # every grid point is validated before the first run
+    hypers = [replace(cfg.hyper, alpha=float(alpha)) for alpha in alphas]
     points = []
     best_hp = None
     best_trace = None
     best_key = None
-    for alpha in alphas:
-        hp = replace(cfg.hyper, alpha=float(alpha))
+    for hp in hypers:
         try:
             trace = run_experiment(replace(cfg, hyper=hp), jobs=jobs)
         except RuntimeError:
-            points.append(GridPoint(float(alpha), None, True))
+            points.append(GridPoint(hp.alpha, None, True))
             continue
         if trace.diverged:
-            points.append(GridPoint(float(alpha), None, True))
+            points.append(GridPoint(hp.alpha, None, True))
             continue
         rtt = trace.rounds_to_target(target)
-        points.append(GridPoint(float(alpha), rtt, False))
+        points.append(GridPoint(hp.alpha, rtt, False))
         if rtt is not None:
-            key = (rtt, -alpha)
+            key = (rtt, -hp.alpha)
             if best_key is None or key < best_key:
                 best_key = key
                 best_hp = hp

@@ -87,18 +87,9 @@ class Problem:
     def mean_value(self, x: np.ndarray) -> float:
         return sum(self.value(i, x) for i in range(self.n_nodes)) / self.n_nodes
 
-    def stoch_grad(self, i: int, x: np.ndarray, stream: RngStream) -> np.ndarray:
-        """Exact gradient plus iid Gaussian noise of std sigma per coordinate.
-
-        With sigma == 0 this returns the exact gradient bit-for-bit.
-        """
-        g = self.grad(i, x)
-        if self.sigma > 0:
-            g = g + self.sigma * stream.normal(self.dim)
-        return g
-
     def sampled_grads(self, x_nodes: np.ndarray, stream: RngStream | None) -> np.ndarray:
-        """Noisy stacked gradients; one (N, m) noise draw per call."""
+        """grads plus iid N(0, sigma^2) noise, one (N, m) draw per call;
+        with sigma == 0 it is grads(x_nodes) bit for bit."""
         g = self.grads(x_nodes)
         if self.sigma > 0:
             if stream is None:

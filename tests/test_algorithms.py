@@ -378,6 +378,13 @@ def test_hyperparams_defaults_and_validation():
         HyperParams(alpha=0.1, tau=0)
     with pytest.raises(ValueError):
         HyperParams(alpha=0.1, p=0.0)
+    # an explicit dual stepsize must keep alpha*zeta/p <= 1
+    assert HyperParams(alpha=0.05, p=0.5, zeta=10.0).zeta_eff == 10.0
+    for bad, field in (({"p": 0.5, "zeta": 10.0}, "zeta"),
+                       ({"beta": 0.0}, "beta"), ({"beta": -0.5}, "beta"),
+                       ({"zeta": 0.0}, "zeta"), ({"zeta": -1.0}, "zeta")):
+        with pytest.raises(ValueError, match=field):
+            HyperParams(alpha=0.1, **bad)
 
 
 def test_communication_accounting_matches_costs(quad6, ring6, complete6):

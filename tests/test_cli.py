@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ledsim import harness
 from ledsim.cli import ConfigError, main, parse_config_file
 
 
@@ -223,6 +224,31 @@ def test_compare_table(tmp_path, capsys):
     assert lines[0] == "algorithm,alpha,rounds_to_target,vectors_to_target"
     assert len(lines) == 3
     assert "led:" in out
+
+
+def test_compare_rejects_centralized_on_ring_before_tuning(tmp_path, capsys,
+                                                          monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda *a, **k: runs.append(a))
+    out_path = tmp_path / "c.csv"
+    code, out, err = _run(capsys, "--out", str(out_path), "compare",
+                          "--algos", "led,scaffold", *QUAD_ARGS)
+    assert code == 1
+    assert "scaffold" in err and "complete" in err
+    assert out == "" and not out_path.exists()
+    assert len(runs) == 0
+
+
+def test_run_explicit_zero_beta_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("hyperparameters.beta = 0\n")
+    out_path = tmp_path / "t.csv"
+    code, _, err = _run(capsys, "--out", str(out_path), "run",
+                        "--config", str(cfg), "--algo", "led", *QUAD_ARGS)
+    assert code == 1
+    assert "beta" in err
+    assert not out_path.exists()
 
 
 def test_compare_empty_algo_list(tmp_path, capsys):

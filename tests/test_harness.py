@@ -10,6 +10,8 @@ from ledsim import (ExperimentConfig, HyperParams, QuadraticProblem,
                     complete_mixing, metropolis_weights, build_graph,
                     noise_floor, quadratic_problem, run_experiment,
                     synth_logistic, tune_to_target)
+from ledsim import harness
+from ledsim.algorithms import ALGORITHMS, METHODS
 from ledsim.harness import Trace, compare, comparison_csv, default_alpha_grid
 from ledsim.problems import SynthConfig
 
@@ -50,18 +52,45 @@ def test_single_node_geometric_contraction():
     assert np.max(np.abs(trace.grad_norm_sq - expect)) <= 1e-12
 
 
+def _method_cfg(algo, sigma=0.05, **kw):
+    """A runnable config of algo: complete graph for centralized methods,
+    sigma = 0 for exact-oracle ones, p = 0.5 so skipping flips coins."""
+    spec = METHODS[algo]
+    if spec.centralized:
+        kw.setdefault("mixing", complete_mixing(6))
+    return _cfg(algorithm=algo, sigma=0.0 if spec.exact_oracle else sigma,
+                hyper=HyperParams(alpha=0.1, tau=2, p=0.5), **kw)
+
+
+def _assert_traces_equal(a, b, label):
+    for f in fields(Trace):
+        assert pickle.dumps(getattr(a, f.name)) == \
+            pickle.dumps(getattr(b, f.name)), (label, f.name)
+
+
 def test_reproducible_across_jobs():
     # the logistic problem reaches workers pickled: its kernel data must keep
     # a layout that rounds the same way there
     logistic = synth_logistic(SynthConfig(n_nodes=6, dim=4, n_samples=50,
                                           sigma=0.05), seed=7)
-    for cfg in (_cfg(sigma=0.05, num_runs=4, rounds=30),
-                _cfg(problem=logistic, num_runs=4, rounds=30)):
+    cfgs = [_method_cfg(a, num_runs=4, rounds=30) for a in ALGORITHMS]
+    cfgs.append(_cfg(problem=logistic, num_runs=4, rounds=30))
+    for cfg in cfgs:
         serial = run_experiment(cfg, jobs=1)
         parallel = run_experiment(cfg, jobs=2)
-        assert np.array_equal(serial.grad_norm_sq, parallel.grad_norm_sq)
-        assert np.array_equal(serial.consensus_err, parallel.consensus_err)
-        assert np.array_equal(serial.vectors_per_link, parallel.vectors_per_link)
+        _assert_traces_equal(serial, parallel, cfg.algorithm)
+
+
+def test_noise_reaches_every_method_or_is_refused():
+    for algo, spec in METHODS.items():
+        if spec.exact_oracle:
+            with pytest.raises(ValueError, match=algo):
+                _cfg(algorithm=algo, sigma=0.05)
+            continue
+        cfg = _method_cfg(algo, sigma=0.05, num_runs=2, rounds=20)
+        a = run_experiment(cfg)
+        b = run_experiment(replace(cfg, base_seed=1))
+        assert not np.array_equal(a.grad_norm_sq, b.grad_norm_sq), algo
 
 
 def test_noisy_average_differs_from_single_run():
@@ -109,6 +138,8 @@ def test_config_validation():
         _cfg(rounds=0)
     with pytest.raises(ValueError):
         _cfg(num_runs=0)
+    with pytest.raises(ValueError, match="bogus"):
+        _cfg(algorithm="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +244,18 @@ def test_tune_scaffnew_default_zeta_with_skipping(quad6_noisy, ring6):
     assert not any(p.diverged for p in res.points)
 
 
+def test_tune_rejects_explicit_zeta_before_any_run(monkeypatch):
+    # alpha * zeta / p = 2 at the second grid point
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda *a, **k: calls.append(a))
+    cfg = _cfg(algorithm="scaffnew", sigma=0.05, num_runs=2,
+               hyper=HyperParams(alpha=0.01, p=0.5, zeta=10.0))
+    with pytest.raises(ValueError, match="zeta"):
+        tune_to_target(cfg, 1e-2, alphas=[0.01, 0.1])
+    assert len(calls) == 0
+
+
 def test_default_alpha_grid_shape():
     grid = default_alpha_grid(1.0)
     assert len(grid) == 20
@@ -255,9 +298,7 @@ def test_compare_rows_equal_rerun_of_tuned_config():
         tuned = tune_to_target(cfg, 1e-5, alphas=grids[cfg.algorithm])
         assert tuned.best is not None and row.alpha == tuned.best.alpha
         rerun = run_experiment(replace(cfg, hyper=tuned.best))
-        for f in fields(Trace):
-            assert pickle.dumps(getattr(rerun, f.name)) == \
-                pickle.dumps(getattr(tuned.best_trace, f.name)), f.name
+        _assert_traces_equal(rerun, tuned.best_trace, cfg.algorithm)
         rtt = rerun.rounds_to_target(1e-5)
         assert row.rounds_to_target == rtt
         assert row.vectors_to_target == rerun.vectors_at_round(rtt)

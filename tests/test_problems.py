@@ -259,20 +259,20 @@ def test_quadratic_infeasible_spectrum_rejected():
 # gradient oracles: exactness, unbiasedness, variance
 # ---------------------------------------------------------------------------
 
-def test_stoch_grad_sigma_zero_is_exact(quad6):
-    x = np.ones(quad6.dim)
-    g = quad6.stoch_grad(0, x, RngStream(0))
-    assert np.array_equal(g, quad6.grad(0, x))
+def test_sampled_grads_sigma_zero_is_exact(quad6):
+    x = np.ones((quad6.n_nodes, quad6.dim))
+    g = quad6.sampled_grads(x, RngStream(0))
+    assert np.array_equal(g, quad6.grads(x))
 
 
-def test_stoch_grad_unbiased_and_correct_variance():
+def test_sampled_grads_unbiased_and_correct_variance():
     p = quadratic_problem(2, 3, mu=0.5, lip=1.0, heterogeneity=0.0, seed=1,
                           sigma=0.1)
-    x = np.array([0.3, -0.7, 1.1])
-    exact = p.grad(0, x)
+    x = np.array([[0.3, -0.7, 1.1], [-1.0, 0.2, 0.5]])
+    exact = p.grads(x)
     n_draws = 100_000
     root = RngStream(123)
-    draws = np.stack([p.stoch_grad(0, x, root.child("mc", k))
+    draws = np.stack([p.sampled_grads(x, root.child("mc", k))
                       for k in range(n_draws)])
     mean_err = np.abs(draws.mean(axis=0) - exact)
     assert np.all(mean_err <= 3.0 * p.sigma / math.sqrt(n_draws))
