@@ -129,8 +129,11 @@ def _local_pass(problem: Problem, x: np.ndarray, pull: np.ndarray, alpha: float,
     for t in range(tau):
         g = problem.sampled_grads(
             phi, stream.child("grad_noise", t) if stream is not None else None)
-        ledger[t] = g.mean(axis=0)
-        phi = phi - alpha * g - pull
+        # in place, bitwise equal to g.mean(axis=0) and phi - alpha*g - pull
+        np.add.reduce(g, out=ledger[t])
+        phi -= alpha * g
+        phi -= pull
+    ledger /= problem.n_nodes
     return phi, ledger
 
 

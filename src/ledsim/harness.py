@@ -124,16 +124,19 @@ def _single_run(cfg: ExperimentConfig, run: int):
 
     def record(slot: int) -> bool:
         xmat = driver.positions(state)
-        xbar = xmat.mean(axis=0)
+        # add.reduce is what mean and sum call, without their dispatch
+        xbar = np.add.reduce(xmat) / problem.n_nodes
         g = problem.global_grad_norm_sq(xbar)
         if not math.isfinite(g) or g > DIVERGENCE_LIMIT:
             return False
         gns[slot] = g
-        cons[slot] = float(np.sum((xmat - xbar) ** 2)) / problem.n_nodes
+        dev = xmat - xbar
+        cons[slot] = float(np.add.reduce(dev * dev, axis=None)) / problem.n_nodes
         if problem.f_star is not None:
             gap[slot] = problem.mean_value(xbar) - problem.f_star
         if track_dist:
-            dist[slot] = float(np.sum((xbar - problem.x_star) ** 2))
+            err = xbar - problem.x_star
+            dist[slot] = float(np.add.reduce(err * err))
         return True
 
     cum_vectors = 0
@@ -154,6 +157,19 @@ def _single_run(cfg: ExperimentConfig, run: int):
     return np.array(recorded), gns, cons, gap, vecs, dist, diverged
 
 
+# set once in each pool worker process by the pool's initializer
+_worker_config: Optional[ExperimentConfig] = None
+
+
+def _set_worker_config(cfg: ExperimentConfig) -> None:
+    global _worker_config
+    _worker_config = cfg
+
+
+def _worker_run(run: int):
+    return _single_run(_worker_config, run)
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
     """Average num_runs independent seeded runs pointwise per recorded round.
 
@@ -163,9 +179,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
     round and flags the result.
     """
     if jobs > 1 and cfg.num_runs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_single_run, [cfg] * cfg.num_runs,
-                                    range(cfg.num_runs)))
+        # each worker receives the config once, then only run indices
+        with ProcessPoolExecutor(max_workers=min(jobs, cfg.num_runs),
+                                 initializer=_set_worker_config,
+                                 initargs=(cfg,)) as pool:
+            results = list(pool.map(_worker_run, range(cfg.num_runs)))
     else:
         results = [_single_run(cfg, run) for run in range(cfg.num_runs)]
 

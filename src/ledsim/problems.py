@@ -82,9 +82,17 @@ class Problem:
 
     def grads_at(self, x: np.ndarray) -> np.ndarray:
         """All node gradients evaluated at the same point."""
-        return self.grads(np.broadcast_to(x, (self.n_nodes, self.dim)))
+        # a filled (N, m) array is cheaper to build than a broadcast view
+        x_nodes = np.empty((self.n_nodes, self.dim))
+        x_nodes[...] = x
+        return self.grads(x_nodes)
 
     def mean_value(self, x: np.ndarray) -> float:
+        """(1/N) sum_i f_i(x); a family with a closed form overrides
+        _mean_value, so every call still passes through this method."""
+        return self._mean_value(x)
+
+    def _mean_value(self, x: np.ndarray) -> float:
         return sum(self.value(i, x) for i in range(self.n_nodes)) / self.n_nodes
 
     def sampled_grads(self, x_nodes: np.ndarray, stream: RngStream | None) -> np.ndarray:
@@ -99,7 +107,9 @@ class Problem:
 
     def global_grad_norm_sq(self, x_bar: np.ndarray) -> float:
         """||(1/N) sum_i grad f_i(x_bar)||^2, the error criterion."""
-        return float(np.sum(self.grads_at(x_bar).mean(axis=0) ** 2))
+        # add.reduce is what mean and sum call, without their dispatch
+        g = np.add.reduce(self.grads_at(x_bar)) / self.n_nodes
+        return float(np.add.reduce(g * g))
 
     def heterogeneity_at(self, x: np.ndarray) -> float:
         """(1/N) sum_i ||grad f_i(x) - grad f(x)||^2."""
@@ -126,13 +136,15 @@ class LogisticProblem(Problem):
         self.reg = float(reg)
         self.sigma = float(sigma)
         # Labels folded into transposed features for the vectorized
-        # whole-network gradient: _zt[n] = (-y_s h_s)^T, shape (N, m, S).
+        # whole-network gradient: _zt[n] = (y_s h_s)^T, shape (N, m, S), so
+        # x @ _zt[n] is the margin y_s h_s^T x = -t, where t is the argument
+        # of the loss ln(1 + exp(t)).
         # It must be C-contiguous: both products in grads then run over
         # contiguous S (about 2x faster), and a pickled copy sent to a
         # worker process keeps the layout, so the sums round the same way.
         self._zt = np.empty((self.n_nodes, self.dim, len(datasets[0].labels)))
         for zt, d in zip(self._zt, datasets):
-            np.multiply(d.features.T, -d.labels, out=zt)
+            np.multiply(d.features.T, d.labels, out=zt)
 
     def value(self, i: int, x: np.ndarray) -> float:
         d = self.datasets[i]
@@ -149,12 +161,17 @@ class LogisticProblem(Problem):
         return loss_grad + reg_grad
 
     def grads(self, x_nodes: np.ndarray) -> np.ndarray:
-        # hot path: batched matmuls and a tanh-form sigmoid (underflow in the
-        # far tails is harmless for the gradient).  Agrees with grad() to
-        # rounding (~1e-14), not bitwise.
-        t = (x_nodes[:, None, :] @ self._zt)[:, 0, :]            # (N, S)
-        s = 0.5 * (1.0 + np.tanh(0.5 * t))
-        loss = (self._zt @ s[:, :, None])[:, :, 0] / self._zt.shape[2]
+        # hot path: batched matmuls around sigma(t) = 1 / (1 + exp(-t)),
+        # computed in place on -t.  Where exp(-t) overflows to inf, sigma(t)
+        # is 1/inf = 0, its correct limit.  Agrees with grad() to rounding
+        # (~1e-14), not bitwise.
+        s = (x_nodes[:, None, :] @ self._zt)[:, 0, :]            # (N, S), -t
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
+        # _zt holds +y h, so the loss gradient is the negated product
+        loss = (self._zt @ s[:, :, None])[:, :, 0] / -self._zt.shape[2]
         reg = self.reg * 2.0 * x_nodes / (1.0 + x_nodes * x_nodes) ** 2
         return loss + reg
 
@@ -211,15 +228,14 @@ class QuadraticProblem(Problem):
         eigs = np.linalg.eigvalsh(self.a_bar)
         if eigs[0] <= 0:
             raise ValueError("aggregate Hessian must be positive definite")
-        per_node_min = min(float(np.linalg.eigvalsh(ai)[0]) for ai in a)
+        per_node_min = float(np.linalg.eigvalsh(a)[:, 0].min())
         if per_node_min < -1e-10:
             raise ValueError("every per-node Hessian must be PSD")
         self.mu = float(eigs[0])
         self.lip = float(eigs[-1])
-        b_bar = b.mean(axis=0)
-        self.x_star = np.linalg.solve(self.a_bar, b_bar)
-        self.f_star = float(0.5 * self.x_star @ self.a_bar @ self.x_star
-                            - b_bar @ self.x_star)
+        self.b_bar = b.mean(axis=0)
+        self.x_star = np.linalg.solve(self.a_bar, self.b_bar)
+        self.f_star = self._mean_value(self.x_star)
 
     def value(self, i: int, x: np.ndarray) -> float:
         return float(0.5 * x @ self.a[i] @ x - self.b[i] @ x)
@@ -227,11 +243,15 @@ class QuadraticProblem(Problem):
     def grad(self, i: int, x: np.ndarray) -> np.ndarray:
         return self.a[i] @ x - self.b[i]
 
+    def _mean_value(self, x: np.ndarray) -> float:
+        # (1/N) sum_i f_i(x) = 0.5 x^T a_bar x - b_bar^T x
+        return float(0.5 * x @ self.a_bar @ x - self.b_bar @ x)
+
     def grads(self, x_nodes: np.ndarray) -> np.ndarray:
         return np.einsum("nij,nj->ni", self.a, x_nodes) - self.b
 
     def lipschitz(self) -> float:
-        return max(float(np.linalg.eigvalsh(ai)[-1]) for ai in self.a)
+        return float(np.linalg.eigvalsh(self.a)[:, -1].max())
 
 
 def quadratic_problem(n_nodes: int, dim: int, mu: float, lip: float,
@@ -259,7 +279,7 @@ def quadratic_problem(n_nodes: int, dim: int, mu: float, lip: float,
         raw = rng.child("hessians").normal((n_nodes, dim, dim))
         sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
         sym -= sym.mean(axis=0)  # centered: aggregate Hessian stays a_bar
-        worst = max(float(np.max(np.abs(np.linalg.eigvalsh(e)))) for e in sym)
+        worst = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
         if worst > 0:
             # cap the deviation so A_i = a_bar + E_i keeps min eigenvalue >= mu/10
             scale = min(hessian_spread, 0.9 * mu / worst)

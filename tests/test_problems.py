@@ -1,9 +1,12 @@
 """Objectives and oracles against straight-loop and Monte-Carlo references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ledsim import (LogisticProblem, NodeDataset, QuadraticProblem, RngStream,
                     quadratic_problem, synth_logistic)
@@ -123,11 +126,30 @@ def test_vectorized_logistic_grads_match_per_node_grad(scale):
         loop = _per_node_grads(prob, xs)
         err = np.max(np.abs(prob.grads(xs) - loop))
         assert err <= 1e-12 * np.max(np.abs(loop))
-        # grads_at passes one point broadcast to every node (zero row stride)
+        # grads_at evaluates one shared point at every node
         shared = np.broadcast_to(xs[0], xs.shape)
         loop = _per_node_grads(prob, shared)
         err = np.max(np.abs(prob.grads_at(xs[0]) - loop))
         assert err <= 1e-12 * np.max(np.abs(loop))
+
+
+def test_logistic_grads_saturated_margins_warn_nothing():
+    # margins of +-1e4 overflow exp(-t) to inf on one side and underflow it
+    # on the other; sigma(t) must come out as exactly 0 and 1, silently
+    rows = np.array([[1e4, 0.0], [-1e4, 0.0], [0.0, 1.0], [1e4, 1.0]])
+    datasets = [NodeDataset(features=rows * (k + 1), labels=np.array([1, -1, 1, -1]))
+                for k in range(3)]
+    prob = LogisticProblem(datasets, reg=0.01)
+    xs = np.array([[1.0, 0.5], [-1.0, 0.5], [1.0, -2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = prob.grads(xs)
+        shared = prob.grads_at(xs[0])
+        loop = _per_node_grads(prob, xs)
+        loop_shared = _per_node_grads(prob, np.broadcast_to(xs[0], xs.shape))
+    assert np.all(np.isfinite(fast))
+    assert np.max(np.abs(fast - loop)) <= 1e-12 * np.max(np.abs(loop))
+    assert np.max(np.abs(shared - loop_shared)) <= 1e-12 * np.max(np.abs(loop_shared))
 
 
 def test_lipschitz_bounds_observed_curvature(small_logistic):
@@ -323,3 +345,21 @@ def test_heterogeneity_matches_loop(small_logistic):
 def test_mean_value_and_fgap(quad6):
     assert quad6.f_star == pytest.approx(quad6.mean_value(quad6.x_star), abs=1e-12)
     assert quad6.mean_value(quad6.x_star + 0.5) > quad6.f_star
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), dim=st.integers(1, 5),
+       mu=st.floats(0.01, 1.0), spread=st.floats(1.0, 100.0),
+       heterogeneity=st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 32 - 1),
+       x_scale=st.floats(1e-3, 1e3))
+def test_quadratic_mean_value_closed_form_matches_node_loop(
+        n, dim, mu, spread, heterogeneity, seed, x_scale):
+    p = quadratic_problem(n, dim, mu=mu, lip=mu * spread,
+                          heterogeneity=heterogeneity, seed=seed)
+    assert p.mean_value(p.x_star) == p.f_star
+    x = x_scale * RngStream(seed).child("x").normal(dim)
+    terms = [p.value(i, x) for i in range(n)]
+    loop = sum(terms) / n
+    # relative to the size of the summed terms, which may cancel
+    size = sum(0.5 * abs(x @ p.a[i] @ x) + abs(p.b[i] @ x) for i in range(n)) / n
+    assert abs(p.mean_value(x) - loop) <= 1e-12 * size
