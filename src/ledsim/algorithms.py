@@ -100,7 +100,6 @@ def consensus_sqrt(w: MixingMatrix) -> np.ndarray:
 class LedState:
     x: np.ndarray  # (N, m) primal estimates
     y: np.ndarray  # (N, m) dual estimates, columns sum to ~0
-    r: int = 0
 
 
 def led_init(x0: np.ndarray, w: MixingMatrix, mode: str = "dual_from_mixing") -> LedState:
@@ -114,7 +113,7 @@ def led_init(x0: np.ndarray, w: MixingMatrix, mode: str = "dual_from_mixing") ->
         y0 = np.zeros_like(x0)
     else:
         raise ValueError(f"unknown init mode {mode!r}")
-    return LedState(x=x0, y=y0, r=0)
+    return LedState(x=x0, y=y0)
 
 
 def _local_pass(problem: Problem, x: np.ndarray, pull: np.ndarray, alpha: float,
@@ -144,7 +143,7 @@ def led_round(state: LedState, problem: Problem, w: MixingMatrix,
                               h.alpha, h.tau, stream)
     x_new = w.w @ phi
     y_new = state.y + phi - x_new
-    return RoundOutput(LedState(x_new, y_new, state.r + 1), ledger, 1)
+    return RoundOutput(LedState(x_new, y_new), ledger, 1)
 
 
 def led1_step(state: LedState, problem: Problem, w: MixingMatrix,
@@ -164,7 +163,6 @@ class EdState:
     x_prev: Optional[np.ndarray]
     x_curr: np.ndarray
     grad_prev: Optional[np.ndarray]
-    r: int = 0
 
 
 def ed_init(x0: np.ndarray, problem: Problem, w: MixingMatrix, alpha: float) -> EdState:
@@ -172,7 +170,7 @@ def ed_init(x0: np.ndarray, problem: Problem, w: MixingMatrix, alpha: float) -> 
     x0 = np.asarray(x0, dtype=float)
     g0 = problem.grads(x0)
     x1 = w.w @ (x0 - alpha * g0)
-    return EdState(x_prev=x0, x_curr=x1, grad_prev=g0, r=1)
+    return EdState(x_prev=x0, x_curr=x1, grad_prev=g0)
 
 
 def ed_eliminated_step(state: EdState, problem: Problem, w: MixingMatrix,
@@ -185,7 +183,7 @@ def ed_eliminated_step(state: EdState, problem: Problem, w: MixingMatrix,
         raise ValueError("two-term recursion stepped before its bootstrap")
     g = problem.grads(state.x_curr)
     x_next = w.w @ (2.0 * state.x_curr - state.x_prev - alpha * (g - state.grad_prev))
-    new = EdState(x_prev=state.x_curr, x_curr=x_next, grad_prev=g, r=state.r + 1)
+    new = EdState(x_prev=state.x_curr, x_curr=x_next, grad_prev=g)
     return RoundOutput(new, g.mean(axis=0, keepdims=True), 1)
 
 
@@ -194,13 +192,12 @@ class UdaEdState:
     x: np.ndarray
     z: np.ndarray
     b_half: np.ndarray  # precomputed (I - W)^(1/2)
-    r: int = 0
 
 
 def uda_ed_init(x0: np.ndarray, w: MixingMatrix) -> UdaEdState:
     return UdaEdState(x=np.asarray(x0, dtype=float),
                       z=np.zeros_like(np.asarray(x0, dtype=float)),
-                      b_half=consensus_sqrt(w), r=0)
+                      b_half=consensus_sqrt(w))
 
 
 def uda_ed_step(state: UdaEdState, problem: Problem, w: MixingMatrix,
@@ -213,7 +210,7 @@ def uda_ed_step(state: UdaEdState, problem: Problem, w: MixingMatrix,
     phi = state.x - alpha * g - state.b_half @ state.z
     x_new = w.w @ phi
     z_new = state.z + state.b_half @ phi
-    new = UdaEdState(x_new, z_new, state.b_half, state.r + 1)
+    new = UdaEdState(x_new, z_new, state.b_half)
     return RoundOutput(new, g.mean(axis=0, keepdims=True), 1)
 
 
@@ -225,7 +222,6 @@ def uda_ed_step(state: UdaEdState, problem: Problem, w: MixingMatrix,
 class PrimalDualState:
     x: np.ndarray
     y: np.ndarray
-    r: int = 0
 
 
 def pdfp2o_step(state: PrimalDualState, problem: Problem, w: MixingMatrix,
@@ -238,7 +234,7 @@ def pdfp2o_step(state: PrimalDualState, problem: Problem, w: MixingMatrix,
     mixed = w.w @ phi
     y_new = state.y + phi - mixed
     x_new = (1.0 - eta) * phi + eta * mixed
-    return RoundOutput(PrimalDualState(x_new, y_new, state.r + 1), ledger, 1)
+    return RoundOutput(PrimalDualState(x_new, y_new), ledger, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +245,6 @@ def pdfp2o_step(state: PrimalDualState, problem: Problem, w: MixingMatrix,
 class ScaffnewState:
     x: np.ndarray
     z: np.ndarray
-    r: int = 0
 
 
 def scaffnew_round(state: ScaffnewState, problem: Problem, w: MixingMatrix,
@@ -279,7 +274,7 @@ def scaffnew_round(state: ScaffnewState, problem: Problem, w: MixingMatrix,
         x_new = phi
         z_new = state.z
         vectors = 0
-    new = ScaffnewState(x_new, z_new, state.r + 1)
+    new = ScaffnewState(x_new, z_new)
     return RoundOutput(new, g.mean(axis=0, keepdims=True), vectors)
 
 
@@ -290,7 +285,6 @@ def scaffnew_round(state: ScaffnewState, problem: Problem, w: MixingMatrix,
 @dataclass(frozen=True)
 class PrimalState:
     x: np.ndarray
-    r: int = 0
 
 
 def local_dsgd_round(state: PrimalState, problem: Problem, w: MixingMatrix,
@@ -300,7 +294,7 @@ def local_dsgd_round(state: PrimalState, problem: Problem, w: MixingMatrix,
     phi, ledger = _local_pass(problem, state.x, np.zeros(problem.dim),
                               alpha, tau, stream)
     x_new = w.w @ phi
-    return RoundOutput(PrimalState(x_new, state.r + 1), ledger, 1)
+    return RoundOutput(PrimalState(x_new), ledger, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +305,6 @@ def local_dsgd_round(state: PrimalState, problem: Problem, w: MixingMatrix,
 class TrackingState:
     x: np.ndarray
     c: np.ndarray  # per-node correction; columns sum to 0 when started at 0
-    r: int = 0
 
 
 def k_gt_round(state: TrackingState, problem: Problem, w: MixingMatrix,
@@ -329,7 +322,7 @@ def k_gt_round(state: TrackingState, problem: Problem, w: MixingMatrix,
     b = (state.x - phi) / (alpha * tau)
     x_new = w.w @ phi
     c_new = state.c + w.w @ b - b
-    return RoundOutput(TrackingState(x_new, c_new, state.r + 1), ledger, 2)
+    return RoundOutput(TrackingState(x_new, c_new), ledger, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +334,6 @@ class ScaffoldState:
     x: np.ndarray       # (m,) shared server iterate
     c: np.ndarray       # (N, m) per-node controls
     c_bar: np.ndarray   # (m,) server control
-    r: int = 0
 
 
 def scaffold_round(state: ScaffoldState, problem: Problem, alpha: float,
@@ -356,7 +348,7 @@ def scaffold_round(state: ScaffoldState, problem: Problem, alpha: float,
                               alpha, tau, stream)
     x_new = phi.mean(axis=0)
     c_new = state.c - state.c_bar + (state.x - phi) / (tau * alpha)
-    new = ScaffoldState(x_new, c_new, c_new.mean(axis=0), state.r + 1)
+    new = ScaffoldState(x_new, c_new, c_new.mean(axis=0))
     return RoundOutput(new, ledger, 2)
 
 
@@ -364,7 +356,6 @@ def scaffold_round(state: ScaffoldState, problem: Problem, alpha: float,
 class GateState:
     x: np.ndarray  # (m,) shared iterate
     y: np.ndarray  # (N, m) per-node correctors, columns sum to 0
-    r: int = 0
 
 
 def fedgate_round(state: GateState, problem: Problem, alpha: float,
@@ -379,7 +370,7 @@ def fedgate_round(state: GateState, problem: Problem, alpha: float,
     phi_bar = phi.mean(axis=0)
     x_new = (1.0 - alpha * gamma) * state.x + alpha * gamma * phi_bar
     y_new = state.y + (phi - phi_bar)
-    return RoundOutput(GateState(x_new, y_new, state.r + 1), ledger, 1)
+    return RoundOutput(GateState(x_new, y_new), ledger, 1)
 
 
 def led_server_round(state: GateState, problem: Problem, alpha: float,
@@ -393,7 +384,7 @@ def led_server_round(state: GateState, problem: Problem, alpha: float,
     phi_bar = phi.mean(axis=0)
     x_new = (1.0 - gamma) * state.x + gamma * phi_bar
     y_new = state.y + (phi - phi_bar)
-    return RoundOutput(GateState(x_new, y_new, state.r + 1), ledger, 1)
+    return RoundOutput(GateState(x_new, y_new), ledger, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_led_fixed_point_invariance(quad6, ring6, tau):
     y = np.stack([-(h.alpha / h.beta_eff) * quad6.grad(i, quad6.x_star)
                   for i in range(6)])
     from ledsim.algorithms import LedState
-    state = LedState(x=x, y=y, r=0)
+    state = LedState(x=x, y=y)
     for _ in range(100):
         state = led_round(state, quad6, ring6, h).state
     assert np.max(np.abs(state.x - x)) <= 1e-12

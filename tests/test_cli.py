@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ledsim import harness
-from ledsim.cli import ConfigError, main, parse_config_file
+from ledsim.cli import COMMANDS, KNOWN_KEYS, ConfigError, main, parse_config_file
 
 
 def _run(capsys, *argv):
@@ -26,6 +26,11 @@ def _data_lines(path):
     """CSV rows with the echoed-config comment header stripped."""
     return [ln for ln in path.read_text().splitlines()
             if not ln.startswith("#")]
+
+
+def _header(path):
+    """The echoed-config header with its '# ' prefixes stripped."""
+    return [ln[2:] for ln in path.read_text().splitlines() if ln.startswith("# ")]
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +71,48 @@ def test_cli_reports_config_errors_as_exit_1(tmp_path, capsys):
                         "run", "--config", str(cfg), "--algo", "led")
     assert code == 1
     assert "nonsense.key" in err
+
+
+def test_cli_rejects_removed_weights_key(tmp_path, capsys):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("topology.weights = metropolis\n")
+    code, _, err = _run(capsys, "spectra", "--config", str(cfg),
+                        "--graph", "ring", "--n", "5")
+    assert code == 1
+    assert "unknown key 'topology.weights'" in err
+    assert _run(capsys, "spectra", "--graph", "ring", "--n", "5",
+                "--weights", "metropolis")[0] == 1
+
+
+def test_every_flag_maps_to_a_known_key():
+    for command in COMMANDS.values():
+        assert command.seed_key in KNOWN_KEYS
+        assert set(command.flags.values()) <= KNOWN_KEYS
+
+
+@pytest.mark.parametrize("spelling,lazy", [
+    ("1", True), ("true", True), ("Yes", True), ("on", True),
+    ("0", False), ("false", False), ("no", False), ("OFF", False)])
+def test_boolean_key_spellings(tmp_path, capsys, spelling, lazy):
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text(f"topology.lazy = {spelling}\n")
+    code, out, _ = _run(capsys, "spectra", "--config", str(cfg),
+                        "--graph", "ring", "--n", "15")
+    assert code == 0
+    assert _parse_kv(out)["positive_definite"] == str(lazy).lower()
+
+
+def test_bad_boolean_or_number_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text("topology.lazy = maybe\n")
+    code, out, err = _run(capsys, "spectra", "--config", str(cfg),
+                          "--graph", "ring", "--n", "15")
+    assert code == 1 and out == ""
+    assert "bad value for 'topology.lazy'" in err
+    # flags are untyped: the value is checked with the key's cast
+    code, out, err = _run(capsys, "spectra", "--graph", "ring", "--n", "abc")
+    assert code == 1 and out == ""
+    assert "bad value for 'topology.n'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +168,17 @@ def test_synth_writes_dataset_csv(tmp_path, capsys):
     last = lines[-1].split(",")
     assert last[0] == "2" and last[1] == "19"
     assert last[-1] in ("-1", "1")
+
+
+def test_synth_rejects_quadratic_problem_kind(tmp_path, capsys):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("problem.kind = quadratic\n")
+    out_path = tmp_path / "data.csv"
+    code, _, err = _run(capsys, "--out", str(out_path), "synth",
+                        "--config", str(cfg))
+    assert code == 1
+    assert "problem.kind" in err
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +250,44 @@ def test_run_config_file_with_flag_override(tmp_path, capsys):
                         "--config", str(cfg), "--rounds", "25")
     assert code == 0
     assert _parse_kv(out)["rounds"] == "25"  # flag overrides the file
+
+
+def test_run_header_echoes_defaults(tmp_path, capsys):
+    out_path = tmp_path / "trace.csv"
+    assert _run(capsys, "--out", str(out_path), "--seed", "3", "run",
+                "--algo", "led", *QUAD_ARGS)[0] == 0
+    header = _header(out_path)
+    for line in ("hyperparameters.tau = 1", "harness.cadence = 1",
+                 "problem.sigma = 0.0", "harness.base_seed = 3",
+                 "hyperparameters.alpha = 0.05", "problem.n_nodes = 6"):
+        assert line in header
+    # optional keys left unset are omitted
+    assert not any(ln.startswith(("hyperparameters.beta", "hyperparameters.zeta",
+                                  "topology.p ")) for ln in header)
+
+
+# per subcommand: flags that set config keys, then flags that set none
+SUBCOMMAND_ARGS = {
+    "synth": (["--n-nodes", "2", "--dim", "3", "--n-samples", "4"], []),
+    "run": (["--algo", "led", *QUAD_ARGS, "--cadence", "3"], []),
+    "tune": (["--algo", "led", *QUAD_ARGS, "--target", "1e-3"],
+             ["--grid-points", "3"]),
+    "compare": ([*QUAD_ARGS, "--tau", "2", "--target", "1e-3"],
+                ["--algos", "led,local_dsgd"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_echoed_header_reproduces_output_as_config(tmp_path, capsys, command):
+    keyed, other = SUBCOMMAND_ARGS[command]
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert _run(capsys, "--out", str(first), "--seed", "5", command,
+                *keyed, *other)[0] == 0
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("\n".join(_header(first)) + "\n")
+    assert _run(capsys, "--out", str(again), command, "--config", str(cfg),
+                *other)[0] == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 # ---------------------------------------------------------------------------
