@@ -9,7 +9,7 @@ from .problems import (LogisticProblem, NodeDataset, Problem,
                        synth_logistic)
 from .rng import RngStream
 from .topology import (Graph, MixingMatrix, build_graph, complete_mixing,
-                       lazy_transform, metropolis_weights, mixing_rate,
+                       lazy_transform, metropolis_weights,
                        validate_combination_matrix)
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "SynthConfig", "quadratic_problem", "synth_logistic",
     "RngStream",
     "Graph", "MixingMatrix", "build_graph", "complete_mixing",
-    "lazy_transform", "metropolis_weights", "mixing_rate",
-    "validate_combination_matrix",
+    "lazy_transform", "metropolis_weights", "validate_combination_matrix",
 ]

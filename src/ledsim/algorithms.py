@@ -43,8 +43,9 @@ class HyperParams:
             raise ValueError("stepsizes must be positive")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
-        if not 0 < self.p <= 1:
-            raise ValueError("p must be in (0, 1]")
+        for name in ("p", "eta_pd"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in (0, 1]")
         for name in ("beta", "zeta"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive when set")
@@ -358,33 +359,34 @@ class GateState:
     y: np.ndarray  # (N, m) per-node correctors, columns sum to 0
 
 
+def _gated_round(state: GateState, problem: Problem, alpha: float,
+                 pull: np.ndarray, mix: float, tau: int,
+                 stream: Optional[RngStream]) -> RoundOutput:
+    """Local steps from the shared iterate, then x+ = (1-mix) x +
+    mix mean(phi_tau); y_i+ = y_i + phi_i_tau - mean(phi_tau)."""
+    start = np.broadcast_to(state.x, (problem.n_nodes, problem.dim)).copy()
+    phi, ledger = _local_pass(problem, start, pull, alpha, tau, stream)
+    phi_bar = phi.mean(axis=0)
+    x_new = (1.0 - mix) * state.x + mix * phi_bar
+    y_new = state.y + (phi - phi_bar)
+    return RoundOutput(GateState(x_new, y_new), ledger, 1)
+
+
 def fedgate_round(state: GateState, problem: Problem, alpha: float,
                   gamma: float, tau: int,
                   stream: Optional[RngStream] = None) -> RoundOutput:
-    """Gated averaging: local steps pulled by y/tau, relaxed server average.
-
-    alpha*gamma = 1 recovers the variance-reduced local SGD special case.
-    """
-    start = np.broadcast_to(state.x, (problem.n_nodes, problem.dim)).copy()
-    phi, ledger = _local_pass(problem, start, state.y / tau, alpha, tau, stream)
-    phi_bar = phi.mean(axis=0)
-    x_new = (1.0 - alpha * gamma) * state.x + alpha * gamma * phi_bar
-    y_new = state.y + (phi - phi_bar)
-    return RoundOutput(GateState(x_new, y_new), ledger, 1)
+    """Gated averaging: local steps pulled by y/tau, server average relaxed
+    by alpha*gamma; alpha*gamma = 1 recovers variance-reduced local SGD."""
+    return _gated_round(state, problem, alpha, state.y / tau, alpha * gamma,
+                        tau, stream)
 
 
 def led_server_round(state: GateState, problem: Problem, alpha: float,
                      beta: float, gamma: float, tau: int,
                      stream: Optional[RngStream] = None) -> RoundOutput:
-    """Server-workers form: x+ = (1-gamma) x + gamma mean(phi_tau);
-    y_i+ = y_i + phi_i_tau - mean(phi_tau).  gamma = 1 equals the
-    complete-graph decentralized round."""
-    start = np.broadcast_to(state.x, (problem.n_nodes, problem.dim)).copy()
-    phi, ledger = _local_pass(problem, start, beta * state.y, alpha, tau, stream)
-    phi_bar = phi.mean(axis=0)
-    x_new = (1.0 - gamma) * state.x + gamma * phi_bar
-    y_new = state.y + (phi - phi_bar)
-    return RoundOutput(GateState(x_new, y_new), ledger, 1)
+    """Server-workers form: local steps pulled by beta*y, server average
+    relaxed by gamma; gamma = 1 equals the complete-graph decentralized round."""
+    return _gated_round(state, problem, alpha, beta * state.y, gamma, tau, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +396,11 @@ def led_server_round(state: GateState, problem: Problem, alpha: float,
 @dataclass(frozen=True)
 class MethodSpec:
     """init(x0, problem, w, h) builds the first state; step(state, problem, w,
-    h, stream) runs one round.  A centralized method needs the complete graph;
-    an exact_oracle one calls the exact gradient and refuses gradient noise."""
+    h, stream) runs one round.  A centralized method needs the complete graph."""
 
     init: Callable
     step: Callable
     centralized: bool = False
-    exact_oracle: bool = False
 
 
 def _zero_init(cls, shared=False):
@@ -410,19 +410,15 @@ def _zero_init(cls, shared=False):
                                    np.zeros_like(x0))
 
 
-# Steps take (state, problem, w, h, stream).  led1 and dsgd pin tau = 1,
-# local_sgd is local_dsgd on the complete graph, vrl_sgd is fedgate with
-# alpha * gamma = 1.
+# Steps take (state, problem, w, h, stream).  led1 and dsgd pin tau = 1, and
+# led1 takes an unset beta as 1 (exact diffusion, which the analysis forms
+# ed_eliminated_step and uda_ed_step restate); local_sgd is local_dsgd on the
+# complete graph, vrl_sgd is fedgate with alpha * gamma = 1.
 METHODS = {
     "led": MethodSpec(lambda x0, p, w, h: led_init(x0, w), led_round),
     "led1": MethodSpec(lambda x0, p, w, h: led_init(x0, w), lambda s, p, w, h, r:
-                       led1_step(s, p, w, h.alpha, h.beta_eff, r)),
-    "ed": MethodSpec(lambda x0, p, w, h: ed_init(x0, p, w, h.alpha),
-                     lambda s, p, w, h, r: ed_eliminated_step(s, p, w, h.alpha),
-                     exact_oracle=True),
-    "uda_ed": MethodSpec(lambda x0, p, w, h: uda_ed_init(x0, w),
-                         lambda s, p, w, h, r: uda_ed_step(s, p, w, h.alpha),
-                         exact_oracle=True),
+                       led1_step(s, p, w, h.alpha,
+                                 1.0 if h.beta is None else h.beta, r)),
     "pdfp2o": MethodSpec(_zero_init(PrimalDualState), lambda s, p, w, h, r:
                          pdfp2o_step(s, p, w, h.alpha, h.eta_pd, r)),
     "scaffnew": MethodSpec(_zero_init(ScaffnewState), lambda s, p, w, h, r:
@@ -456,18 +452,14 @@ ALGORITHMS = tuple(METHODS)
 CENTRALIZED = frozenset(a for a, spec in METHODS.items() if spec.centralized)
 
 
-def method(algo: str, problem: Problem, w: MixingMatrix) -> MethodSpec:
-    """The table entry of algo, once it is known to run on problem and w."""
+def method(algo: str, w: MixingMatrix) -> MethodSpec:
+    """The table entry of algo, once it is known to run on w."""
     spec = METHODS.get(algo)
     if spec is None:
         raise ValueError(f"unknown algorithm {algo!r}")
     if spec.centralized and w.mixing_rate > 1e-12:
         raise ValueError(
             f"{algo} is a centralized method and requires the complete graph")
-    if spec.exact_oracle and problem.sigma > 0:
-        raise ValueError(
-            f"{algo} uses exact gradients and cannot run on a noisy problem "
-            f"(sigma = {problem.sigma:g}); set sigma = 0")
     return spec
 
 
@@ -476,7 +468,7 @@ class Driver:
 
     def __init__(self, algo: str, problem: Problem, w: MixingMatrix,
                  h: HyperParams):
-        self.spec = method(algo, problem, w)
+        self.spec = method(algo, w)
         self.problem = problem
         self.w = w
         self.h = h
@@ -490,7 +482,6 @@ class Driver:
 
     def positions(self, state) -> np.ndarray:
         """Node estimates as an (N, m) matrix (replicated for shared iterates)."""
-        x = state.x_curr if isinstance(state, EdState) else state.x
-        if x.ndim == 1:
-            return np.broadcast_to(x, (self.problem.n_nodes, self.problem.dim))
-        return x
+        if state.x.ndim == 1:
+            return np.broadcast_to(state.x, (self.problem.n_nodes, self.problem.dim))
+        return state.x

@@ -3,7 +3,7 @@
 Every config flag is declared once, in its subcommand's flag table in
 COMMANDS; flags override config files, and the effective configuration
 (every key the command read, defaults included) is echoed into CSV outputs
-as '#' comment lines.
+as '#' comment lines.  A key that was set but not read draws a warning.
 Exit codes: 0 success, 1 usage/config error, 2 divergence-flagged completion.
 """
 
@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 
 from . import topology as topo
 from .algorithms import HyperParams
-from .harness import (ExperimentConfig, comparison_csv, compare,
-                      default_alpha_grid, run_experiment, tune_to_target)
+from .harness import (ExperimentConfig, compare, default_alpha_grid,
+                      run_experiment, tune_to_target)
 from .problems import SynthConfig, quadratic_problem, synth_logistic
 
 
@@ -64,9 +64,18 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _merged(args) -> dict:
+class _Config(dict):
+    """Config values by key; `read` maps each key a command read to the value
+    it used, defaults included: the effective configuration."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = {}
+
+
+def _merged(args) -> _Config:
     """File values, overridden by the given flags whose dest is a known key."""
-    cfg = parse_config_file(args.config) if args.config else {}
+    cfg = _Config(parse_config_file(args.config) if args.config else {})
     cfg.update((key, val) for key, val in vars(args).items()
                if key in KNOWN_KEYS and val is not None)
     if args.seed is not None:
@@ -74,16 +83,16 @@ def _merged(args) -> dict:
     return cfg
 
 
-def _get(cfg: dict, key: str, cast, default=...):
-    """Read key as cast; an unset key takes default, which is written back
-    into cfg (unless None) so that cfg ends up the effective configuration."""
+def _get(cfg: _Config, key: str, cast, default=...):
+    """Read key as cast; an unset key takes default.  The value used goes
+    into cfg.read, unless it is an unset optional key (default None)."""
     if key not in cfg:
         if default is ...:
             raise ConfigError(f"missing required key {key!r}")
         if default is not None:
-            cfg[key] = str(default)
+            cfg.read[key] = str(default)
         return default
-    raw = cfg[key]
+    raw = cfg.read[key] = cfg[key]
     try:
         if cast is bool:
             if raw.lower() not in _TRUE + _FALSE:
@@ -156,16 +165,21 @@ def build_experiment(cfg: dict, algo: str) -> ExperimentConfig:
 
 
 def _csv_text(rows) -> str:
+    """CSV of rows: a float is written as repr(float(v)), which parses back
+    exactly (repr of a numpy float names its type), and None as an empty
+    field (the csv module's rule)."""
     buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
+    csv.writer(buf).writerows([repr(float(v)) if isinstance(v, float) else v
+                               for v in row] for row in rows)
     return buf.getvalue()
 
 
-def _write_csv(path: str, cfg: dict, body: str) -> None:
-    """body under the effective configuration as '# key = value' lines."""
+def _write_csv(path: str, cfg: _Config, rows) -> None:
+    """rows as CSV under the effective configuration as '# key = value'
+    lines."""
     with open(path, "w", newline="") as fh:
-        fh.writelines(f"# {key} = {cfg[key]}\n" for key in sorted(cfg))
-        fh.write(body)
+        fh.writelines(f"# {key} = {val}\n" for key, val in sorted(cfg.read.items()))
+        fh.write(_csv_text(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +207,8 @@ def cmd_synth(args, cfg: dict) -> int:
     rows = [["node", "row"] + [f"f{j}" for j in range(problem.dim)] + ["label"]]
     for i, ds in enumerate(problem.datasets):
         for s in range(len(ds.labels)):
-            rows.append([i, s] + [repr(float(v)) for v in ds.features[s]]
-                        + [int(ds.labels[s])])
-    _write_csv(args.out, cfg, _csv_text(rows))
+            rows.append([i, s, *ds.features[s], int(ds.labels[s])])
+    _write_csv(args.out, cfg, rows)
     print(f"wrote {args.out}")
     return 0
 
@@ -203,7 +216,12 @@ def cmd_synth(args, cfg: dict) -> int:
 def cmd_run(args, cfg: dict) -> int:
     experiment = build_experiment(cfg, _get(cfg, "algorithm.id", str))
     trace = run_experiment(experiment, jobs=args.jobs)
-    _write_csv(args.out, cfg, trace.to_csv_body())
+    gaps = [None] * len(trace.rounds) if trace.fgap is None else trace.fgap
+    _write_csv(args.out, cfg, [
+        ["round", "grad_norm_sq", "consensus_err", "fgap", "vectors_per_link"],
+        *([int(r), g, c, gap, int(v)] for r, g, c, gap, v in zip(
+            trace.rounds, trace.grad_norm_sq, trace.consensus_err, gaps,
+            trace.vectors_per_link))])
     final = len(trace.rounds) - 1
     print(f"rounds={int(trace.rounds[final])}")
     print(f"grad_norm_sq={float(trace.grad_norm_sq[final])!r}")
@@ -223,13 +241,10 @@ def cmd_tune(args, cfg: dict) -> int:
         grid = default_alpha_grid(1.0 / experiment.problem.lipschitz(),
                                   points=args.grid_points)
     result = tune_to_target(experiment, target, alphas=grid, jobs=args.jobs)
-    rows = [["alpha", "rounds_to_target", "diverged"]]
-    for point in result.points:
-        rows.append([repr(point.alpha),
-                     "" if point.rounds_to_target is None
-                     else point.rounds_to_target,
-                     str(point.diverged).lower()])
-    _write_csv(args.out, cfg, _csv_text(rows))
+    _write_csv(args.out, cfg, [
+        ["alpha", "rounds_to_target", "diverged"],
+        *([p.alpha, p.rounds_to_target, str(p.diverged).lower()]
+          for p in result.points)])
     if result.best is not None:
         print(f"best_alpha={result.best.alpha!r}")
         print(f"best_rounds={result.best_rounds()}")
@@ -245,7 +260,9 @@ def cmd_compare(args, cfg: dict) -> int:
     target = _get(cfg, "harness.target", float, 1e-4)
     cfgs = [build_experiment(cfg, algo) for algo in algos]
     rows = compare(cfgs, target, jobs=args.jobs)
-    _write_csv(args.out, cfg, comparison_csv(rows))
+    _write_csv(args.out, cfg, [
+        ["algorithm", "alpha", "rounds_to_target", "vectors_to_target"],
+        *map(dataclasses.astuple, rows)])
     for row in rows:
         print(f"{row.algorithm}: rounds={row.rounds_to_target} "
               f"vectors={row.vectors_to_target}")
@@ -325,10 +342,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command].func(args, _merged(args))
+        cfg = _merged(args)
+        code = COMMANDS[args.command].func(args, cfg)
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # one config file may serve several subcommands: warn, do not fail
+    for key in sorted(cfg.keys() - cfg.read.keys()):
+        print(f"warning: {args.command} does not read {key!r}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

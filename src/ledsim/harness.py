@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -34,7 +32,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.rounds < 1 or self.num_runs < 1 or self.cadence < 1:
             raise ValueError("rounds, num_runs, and cadence must be >= 1")
-        method(self.algorithm, self.problem, self.mixing)
+        method(self.algorithm, self.mixing)
 
     def initial_positions(self) -> np.ndarray:
         if self.x0 is not None:
@@ -76,34 +74,16 @@ class Trace:
         idx = np.searchsorted(self.rounds, r)
         return int(self.vectors_per_link[idx])
 
-    def write_csv(self, path, header_comments: Sequence[str] = ()) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in header_comments:
-                fh.write(f"# {line}\n")
-            fh.write(self.to_csv_body())
-
-    def to_csv_body(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["round", "grad_norm_sq", "consensus_err", "fgap",
-                         "vectors_per_link"])
-        for k, r in enumerate(self.rounds):
-            gap = "" if self.fgap is None else repr(float(self.fgap[k]))
-            writer.writerow([int(r), repr(float(self.grad_norm_sq[k])),
-                             repr(float(self.consensus_err[k])), gap,
-                             int(self.vectors_per_link[k])])
-        return buf.getvalue()
-
 
 def _recorded_rounds(rounds: int, cadence: int) -> list:
-    recorded = [0]
-    recorded += [r for r in range(1, rounds + 1)
-                 if r % cadence == 0 or r == rounds]
-    return sorted(set(recorded))
+    return [0, *range(cadence, rounds, cadence), rounds]
 
 
-def _single_run(cfg: ExperimentConfig, run: int):
-    """One seeded run; returns per-recorded-round metric arrays.
+def _single_run(cfg: ExperimentConfig, run: int) -> np.ndarray:
+    """One seeded run; returns its metrics block, one column per recorded
+    round and one row per Trace metric (grad_norm_sq, consensus_err, fgap,
+    vectors_per_link, dist_to_opt_sq; NaN where undefined).  A run whose
+    metric leaves the finite range stops there, so its block is narrower.
 
     Metrics use exact gradients of the running state; the dual/stochastic
     machinery only affects the trajectory.
@@ -113,48 +93,39 @@ def _single_run(cfg: ExperimentConfig, run: int):
     state = driver.init(cfg.initial_positions())
     run_stream = RngStream(cfg.base_seed).child("run", run)
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
-    track_dist = problem.x_star is not None
+    block = np.full((5, len(recorded)), np.nan)
 
-    n_rec = len(recorded)
-    gns = np.full(n_rec, np.nan)
-    cons = np.full(n_rec, np.nan)
-    gap = np.full(n_rec, np.nan)
-    vecs = np.zeros(n_rec)
-    dist = np.full(n_rec, np.nan) if track_dist else None
-
-    def record(slot: int) -> bool:
+    def record(slot: int, vectors: int) -> bool:
         xmat = driver.positions(state)
         # add.reduce is what mean and sum call, without their dispatch
         xbar = np.add.reduce(xmat) / problem.n_nodes
         g = problem.global_grad_norm_sq(xbar)
         if not math.isfinite(g) or g > DIVERGENCE_LIMIT:
             return False
-        gns[slot] = g
         dev = xmat - xbar
-        cons[slot] = float(np.add.reduce(dev * dev, axis=None)) / problem.n_nodes
+        cons = float(np.add.reduce(dev * dev, axis=None)) / problem.n_nodes
+        block[:2, slot] = g, cons
+        block[3, slot] = vectors
         if problem.f_star is not None:
-            gap[slot] = problem.mean_value(xbar) - problem.f_star
-        if track_dist:
+            block[2, slot] = problem.mean_value(xbar) - problem.f_star
+        if problem.x_star is not None:
             err = xbar - problem.x_star
-            dist[slot] = float(np.add.reduce(err * err))
+            block[4, slot] = float(np.add.reduce(err * err))
         return True
 
     cum_vectors = 0
     slot = 0
-    diverged = not record(slot)
-    if not diverged:
+    if record(0, 0):
         slot = 1
         for r in range(cfg.rounds):
             out = driver.step(state, run_stream.child("round", r))
             state = out.state
             cum_vectors += out.vectors_per_link
-            if slot < n_rec and recorded[slot] == r + 1:
-                vecs[slot] = cum_vectors
-                if not record(slot):
-                    diverged = True
+            if recorded[slot] == r + 1:
+                if not record(slot, cum_vectors):
                     break
                 slot += 1
-    return np.array(recorded), gns, cons, gap, vecs, dist, diverged
+    return block[:, :slot]
 
 
 # set once in each pool worker process by the pool's initializer
@@ -187,35 +158,27 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
     else:
         results = [_single_run(cfg, run) for run in range(cfg.num_runs)]
 
-    recorded = results[0][0]
-    diverged = any(res[6] for res in results)
+    recorded = np.array(_recorded_rounds(cfg.rounds, cfg.cadence))
     # valid length = rounds recorded before any run went non-finite
-    n_valid = len(recorded)
-    for res in results:
-        finite = np.isfinite(res[1])
-        n_valid = min(n_valid, int(np.count_nonzero(finite)))
+    n_valid = min(block.shape[1] for block in results)
     if n_valid == 0:
         raise RuntimeError("experiment diverged at the initial point")
 
-    def avg(idx):
-        arrs = [res[idx][:n_valid] for res in results]
+    def avg(row):
+        arrs = [block[row, :n_valid] for block in results]
         first = arrs[0]
         # identical runs (e.g. sigma = 0) average to themselves exactly
         if all(np.array_equal(a, first, equal_nan=True) for a in arrs[1:]):
             return first
         return np.mean(arrs, axis=0)
 
-    gns = avg(1)
-    cons = avg(2)
-    gap_all = avg(3)
-    gap = None if np.all(np.isnan(gap_all)) else gap_all
-    vecs = avg(4)  # random communication skips vary the ledger per run
-    dist = None
-    if results[0][5] is not None:
-        dist = avg(5)
+    # random communication skips vary the vector ledger per run; fgap and
+    # dist_to_opt_sq are NaN throughout when the problem lacks f* or x*
+    gns, cons, gap, vecs, dist = map(avg, range(5))
+    gap, dist = (None if np.all(np.isnan(a)) else a for a in (gap, dist))
     return Trace(rounds=recorded[:n_valid], grad_norm_sq=gns,
                  consensus_err=cons, fgap=gap, vectors_per_link=vecs,
-                 dist_to_opt_sq=dist, diverged=diverged)
+                 dist_to_opt_sq=dist, diverged=n_valid < len(recorded))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +238,11 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     for hp in hypers:
         try:
             trace = run_experiment(replace(cfg, hyper=hp), jobs=jobs)
-        except RuntimeError:
-            points.append(GridPoint(hp.alpha, None, True))
-            continue
-        if trace.diverged:
-            points.append(GridPoint(hp.alpha, None, True))
-            continue
-        rtt = trace.rounds_to_target(target)
-        points.append(GridPoint(hp.alpha, rtt, False))
+            diverged = trace.diverged
+        except RuntimeError:  # diverged at the initial point
+            diverged = True
+        rtt = None if diverged else trace.rounds_to_target(target)
+        points.append(GridPoint(hp.alpha, rtt, diverged))
         if rtt is not None:
             key = (rtt, -hp.alpha)
             if best_key is None or key < best_key:
@@ -321,18 +281,6 @@ def compare(cfgs: Sequence[ExperimentConfig], target: float,
         rows.append(ComparisonRow(cfg.algorithm, result.best.alpha, rtt,
                                   trace.vectors_at_round(rtt)))
     return rows
-
-
-def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["algorithm", "alpha", "rounds_to_target", "vectors_to_target"])
-    for row in rows:
-        writer.writerow([row.algorithm,
-                         "" if row.alpha is None else repr(row.alpha),
-                         "" if row.rounds_to_target is None else row.rounds_to_target,
-                         "" if row.vectors_to_target is None else row.vectors_to_target])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

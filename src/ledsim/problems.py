@@ -78,7 +78,7 @@ class Problem:
 
     def grads(self, x_nodes: np.ndarray) -> np.ndarray:
         """Stacked per-node gradients at distinct points, (N, m) -> (N, m)."""
-        return np.stack([self.grad(i, x_nodes[i]) for i in range(self.n_nodes)])
+        raise NotImplementedError
 
     def grads_at(self, x: np.ndarray) -> np.ndarray:
         """All node gradients evaluated at the same point."""

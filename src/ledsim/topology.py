@@ -163,11 +163,6 @@ def lazy_transform(w: MixingMatrix) -> MixingMatrix:
     return MixingMatrix.from_dense(0.5 * (w.w + np.eye(w.n)))
 
 
-def mixing_rate(w: MixingMatrix) -> float:
-    """Largest nonleading eigenvalue magnitude; 0 for the complete graph."""
-    return w.mixing_rate
-
-
 @dataclass(frozen=True)
 class CombinationReport:
     symmetric: bool

@@ -378,6 +378,10 @@ def test_hyperparams_defaults_and_validation():
         HyperParams(alpha=0.1, tau=0)
     with pytest.raises(ValueError):
         HyperParams(alpha=0.1, p=0.0)
+    assert HyperParams(alpha=0.1, eta_pd=0.5).eta_pd == 0.5
+    for bad in (0.0, -0.5, 2.0):
+        with pytest.raises(ValueError, match="eta_pd"):
+            HyperParams(alpha=0.1, eta_pd=bad)
     # an explicit dual stepsize must keep alpha*zeta/p <= 1
     assert HyperParams(alpha=0.05, p=0.5, zeta=10.0).zeta_eff == 10.0
     for bad, field in (({"p": 0.5, "zeta": 10.0}, "zeta"),
@@ -389,8 +393,7 @@ def test_hyperparams_defaults_and_validation():
 
 def test_communication_accounting_matches_costs(quad6, ring6, complete6):
     h = HyperParams(alpha=0.05, tau=2)
-    one_vector = {"led", "led1", "ed", "uda_ed", "pdfp2o", "dsgd",
-                  "local_dsgd", "scaffnew"}
+    one_vector = {"led", "led1", "pdfp2o", "dsgd", "local_dsgd", "scaffnew"}
     for algo in ALGORITHMS:
         w = complete6 if algo in CENTRALIZED else ring6
         d = Driver(algo, quad6, w, h)
@@ -408,9 +411,11 @@ def test_driver_rejects_unknown_and_incompatible(quad6, quad6_noisy, ring6):
         Driver("bogus", quad6, ring6, HyperParams())
     with pytest.raises(ValueError):
         Driver("scaffold", quad6, ring6, HyperParams())
+    # the analysis forms are functions only, not table entries
     for algo in ("ed", "uda_ed"):
-        with pytest.raises(ValueError, match=rf"{algo} .*sigma = 0\.05"):
-            Driver(algo, quad6_noisy, ring6, HyperParams())
+        for problem in (quad6, quad6_noisy):
+            with pytest.raises(ValueError, match=f"unknown algorithm '{algo}'"):
+                Driver(algo, problem, ring6, HyperParams())
 
 
 def test_driver_positions_shape(quad6, ring6, complete6):
@@ -428,3 +433,16 @@ def test_dsgd_id_ignores_tau(quad6, ring6):
     out = d1.step(d1.init(x0), None)
     expect = ring6.w @ (x0 - 0.1 * quad6.grads(x0))
     assert np.allclose(out.state.x, expect, atol=1e-15)
+
+
+def test_led1_ignores_tau(quad6_noisy, ring6):
+    # led1 pins tau = 1, and an unset beta is 1: exact diffusion
+    x0 = np.random.default_rng(21).normal(size=(6, 4))
+    for tau in (1, 5):
+        d = Driver("led1", quad6_noisy, ring6, HyperParams(alpha=0.1, tau=tau))
+        st, ref = d.init(x0), led_init(x0, ring6)
+        for r in range(3):
+            stream = RngStream(4).child("round", r)
+            st = d.step(st, stream).state
+            ref = led1_step(ref, quad6_noisy, ring6, 0.1, 1.0, stream).state
+        assert np.array_equal(st.x, ref.x) and np.array_equal(st.y, ref.y), tau

@@ -266,6 +266,35 @@ def test_run_header_echoes_defaults(tmp_path, capsys):
                                   "topology.p ")) for ln in header)
 
 
+def test_header_lists_only_read_keys_and_warns_on_the_rest(tmp_path, capsys):
+    # run has no target; compare reads no algorithm.id
+    out_path = tmp_path / "trace.csv"
+    code, _, err = _run(capsys, "--out", str(out_path), "run", "--algo", "led",
+                        *QUAD_ARGS, "--target", "5")
+    assert code == 0
+    assert not any(ln.startswith("harness.target") for ln in _header(out_path))
+    assert err == "warning: run does not read 'harness.target'\n"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("algorithm.id = scaffold\n")
+    code, _, err = _run(capsys, "--out", str(out_path), "compare", "--config",
+                        str(cfg), "--algos", "led", *QUAD_ARGS,
+                        "--target", "1e300")
+    assert code == 0
+    assert not any(ln.startswith("algorithm.id") for ln in _header(out_path))
+    assert "harness.target = 1e300" in _header(out_path)
+    assert err == "warning: compare does not read 'algorithm.id'\n"
+
+
+def test_analysis_forms_are_not_cli_methods(tmp_path, capsys):
+    for algo in ("ed", "uda_ed"):
+        out_path = tmp_path / f"{algo}.csv"
+        code, out, err = _run(capsys, "--out", str(out_path), "run",
+                              "--algo", algo, *QUAD_ARGS)
+        assert code == 1 and out == ""
+        assert f"unknown algorithm '{algo}'" in err
+        assert not out_path.exists()
+
+
 # per subcommand: flags that set config keys, then flags that set none
 SUBCOMMAND_ARGS = {
     "synth": (["--n-nodes", "2", "--dim", "3", "--n-samples", "4"], []),

@@ -10,9 +10,9 @@ from ledsim import (ExperimentConfig, HyperParams, QuadraticProblem,
                     complete_mixing, metropolis_weights, build_graph,
                     noise_floor, quadratic_problem, run_experiment,
                     synth_logistic, tune_to_target)
-from ledsim import harness
+from ledsim import cli, harness
 from ledsim.algorithms import ALGORITHMS, METHODS
-from ledsim.harness import Trace, compare, comparison_csv, default_alpha_grid
+from ledsim.harness import Trace, compare, default_alpha_grid
 from ledsim.problems import SynthConfig
 
 
@@ -54,11 +54,10 @@ def test_single_node_geometric_contraction():
 
 def _method_cfg(algo, sigma=0.05, **kw):
     """A runnable config of algo: complete graph for centralized methods,
-    sigma = 0 for exact-oracle ones, p = 0.5 so skipping flips coins."""
-    spec = METHODS[algo]
-    if spec.centralized:
+    p = 0.5 so skipping flips coins."""
+    if METHODS[algo].centralized:
         kw.setdefault("mixing", complete_mixing(6))
-    return _cfg(algorithm=algo, sigma=0.0 if spec.exact_oracle else sigma,
+    return _cfg(algorithm=algo, sigma=sigma,
                 hyper=HyperParams(alpha=0.1, tau=2, p=0.5), **kw)
 
 
@@ -82,11 +81,7 @@ def test_reproducible_across_jobs():
 
 
 def test_noise_reaches_every_method_or_is_refused():
-    for algo, spec in METHODS.items():
-        if spec.exact_oracle:
-            with pytest.raises(ValueError, match=algo):
-                _cfg(algorithm=algo, sigma=0.05)
-            continue
+    for algo in METHODS:
         cfg = _method_cfg(algo, sigma=0.05, num_runs=2, rounds=20)
         a = run_experiment(cfg)
         b = run_experiment(replace(cfg, base_seed=1))
@@ -138,8 +133,10 @@ def test_config_validation():
         _cfg(rounds=0)
     with pytest.raises(ValueError):
         _cfg(num_runs=0)
-    with pytest.raises(ValueError, match="bogus"):
-        _cfg(algorithm="bogus")
+    # ed and uda_ed are analysis-form functions, not table entries
+    for algo in ("bogus", "ed", "uda_ed"):
+        with pytest.raises(ValueError, match=f"unknown algorithm '{algo}'"):
+            _cfg(algorithm=algo)
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +163,49 @@ def test_rounds_to_target_monotone_trace():
     assert t.rounds_to_target(10.0) == 0
 
 
-def test_csv_round_trip(tmp_path):
-    trace = run_experiment(_cfg(rounds=5))
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path, header_comments=["alpha = 0.1"])
+CLI_QUAD = ["--problem-kind", "quadratic", "--graph", "ring", "--n", "6",
+            "--alpha", "0.1", "--tau", "2", "--runs", "1"]
+
+
+def _cli_csv(tmp_path, *argv):
+    """Run the CLI; returns the CSV's '#' header lines and its data rows."""
+    path = tmp_path / "out.csv"
+    assert cli.main(["--out", str(path), *argv]) == 0
     lines = path.read_text().splitlines()
-    assert lines[0] == "# alpha = 0.1"
-    assert lines[1] == "round,grad_norm_sq,consensus_err,fgap,vectors_per_link"
-    assert len(lines) == 2 + 6
+    return ([ln for ln in lines if ln.startswith("# ")],
+            [ln.split(",") for ln in lines if not ln.startswith("#")])
+
+
+def test_csv_round_trip(tmp_path, monkeypatch):
+    traces = []
+
+    def run_and_keep(*args, **kwargs):
+        traces.append(run_experiment(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", run_and_keep)
+    header, rows = _cli_csv(tmp_path, "run", "--algo", "led", *CLI_QUAD,
+                            "--rounds", "5")
+    assert "# hyperparameters.alpha = 0.1" in header
+    assert rows[0] == ["round", "grad_norm_sq", "consensus_err", "fgap",
+                       "vectors_per_link"]
+    assert len(rows) == 1 + 6
     # values survive a parse round trip exactly (repr serialization)
-    row = lines[3].split(",")
-    assert float(row[1]) == trace.grad_norm_sq[1]
+    trace = traces[0]
+    for k, row in enumerate(rows[1:]):
+        assert int(row[0]) == trace.rounds[k]
+        assert float(row[1]) == trace.grad_norm_sq[k]
+        assert float(row[2]) == trace.consensus_err[k]
+        assert float(row[3]) == trace.fgap[k]
+        assert int(row[4]) == trace.vectors_per_link[k]
 
 
-def test_csv_empty_fgap_field():
-    t = _toy_trace([1.0, 0.5])
-    body = t.to_csv_body().splitlines()
-    assert body[1].split(",")[3] == ""
+def test_csv_empty_fgap_field(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda *a, **k: _toy_trace([1.0, 0.5]))
+    _, rows = _cli_csv(tmp_path, "run", "--algo", "led", *CLI_QUAD)
+    assert rows[1] == ["0", "1.0", "0.0", "", "0"]
+    assert rows[2][3] == ""
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +295,7 @@ def test_tune_rejects_empty_grid():
 # comparison table
 # ---------------------------------------------------------------------------
 
-def test_compare_reports_vector_costs():
+def test_compare_reports_vector_costs(tmp_path, monkeypatch):
     prob = quadratic_problem(6, 3, mu=0.3, lip=1.0, heterogeneity=1.0, seed=5)
     mixing = metropolis_weights(build_graph("ring", 6))
     cfgs = [ExperimentConfig(algorithm=a, problem=prob, mixing=mixing,
@@ -283,10 +306,18 @@ def test_compare_reports_vector_costs():
     by_algo = {r.algorithm: r for r in rows}
     assert by_algo["led"].rounds_to_target is not None
     assert by_algo["kgt"].vectors_to_target == 2 * by_algo["kgt"].rounds_to_target
-    csv_text = comparison_csv(rows)
-    assert csv_text.splitlines()[0] == \
-        "algorithm,alpha,rounds_to_target,vectors_to_target"
-    assert len(csv_text.splitlines()) == 3
+    # the CLI writes these rows as its table, floats parsing back exactly
+    missed = harness.ComparisonRow("kgt", None, None, None)
+    monkeypatch.setattr(cli, "compare", lambda *a, **k: rows + [missed])
+    _, table = _cli_csv(tmp_path, "compare", "--algos", "led,kgt", *CLI_QUAD)
+    assert table[0] == ["algorithm", "alpha", "rounds_to_target",
+                        "vectors_to_target"]
+    assert len(table) == 4
+    for row, fields_ in zip(rows, table[1:]):
+        assert fields_ == [row.algorithm, repr(row.alpha),
+                           str(row.rounds_to_target), str(row.vectors_to_target)]
+        assert float(fields_[1]) == row.alpha
+    assert table[3] == ["kgt", "", "", ""]
 
 
 def test_compare_rows_equal_rerun_of_tuned_config():

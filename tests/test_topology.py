@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledsim import (Graph, MixingMatrix, build_graph, complete_mixing,
-                    lazy_transform, metropolis_weights, mixing_rate,
+                    lazy_transform, metropolis_weights,
                     validate_combination_matrix)
 
 # frozen oracle values: dense symmetric eigensolver on the stated matrices
@@ -143,7 +143,7 @@ def test_complete_rate_zero():
 
 
 def test_identity_rate_one():
-    assert mixing_rate(MixingMatrix.from_dense(np.eye(4))) == 1.0
+    assert MixingMatrix.from_dense(np.eye(4)).mixing_rate == 1.0
 
 
 def test_from_dense_rejects_bad_input():
