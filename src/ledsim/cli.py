@@ -258,7 +258,9 @@ def cmd_compare(args, cfg: dict) -> int:
     if not algos:
         raise ConfigError("compare needs a nonempty --algos list")
     target = _get(cfg, "harness.target", float, 1e-4)
-    cfgs = [build_experiment(cfg, algo) for algo in algos]
+    # one problem for every method; replace re-validates each name
+    base = build_experiment(cfg, algos[0])
+    cfgs = [dataclasses.replace(base, algorithm=algo) for algo in algos]
     rows = compare(cfgs, target, jobs=args.jobs)
     _write_csv(args.out, cfg, [
         ["algorithm", "alpha", "rounds_to_target", "vectors_to_target"],

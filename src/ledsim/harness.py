@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -79,11 +80,40 @@ def _recorded_rounds(rounds: int, cadence: int) -> list:
     return [0, *range(cadence, rounds, cadence), rounds]
 
 
-def _single_run(cfg: ExperimentConfig, run: int) -> np.ndarray:
+class _Diverged(RuntimeError):
+    """A run of an experiment left the finite range at its initial point."""
+
+
+@dataclass(frozen=True)
+class _Cut:
+    """Stops a grid point once its run-averaged grad_norm_sq is known to
+    exceed `target` at a recorded slot >= `first`, the incumbent's round.
+
+    Errors are >= 0 and `sums` adds the finished runs' values per slot in
+    run order, as the average does, so (sums + this run's value) / num_runs
+    is at most the average, rounding included.  Identical runs average to
+    themselves, so this run's own value must exceed the target too.  A cut
+    may be missed but is never wrong.  A pool worker's sums stay zero: it
+    checks its own run alone.
+    """
+
+    target: float
+    first: int
+    num_runs: int
+    sums: np.ndarray
+
+    def hit(self, slot: int, g: float) -> bool:
+        return (slot >= self.first and g > self.target
+                and (self.sums[slot] + g) / self.num_runs > self.target)
+
+
+def _single_run(cfg: ExperimentConfig, run: int,
+                cut: Optional[_Cut] = None) -> Optional[np.ndarray]:
     """One seeded run; returns its metrics block, one column per recorded
     round and one row per Trace metric (grad_norm_sq, consensus_err, fgap,
     vectors_per_link, dist_to_opt_sq; NaN where undefined).  A run whose
     metric leaves the finite range stops there, so its block is narrower.
+    A run that the cut stops returns None.
 
     Metrics use exact gradients of the running state; the dual/stochastic
     machinery only affects the trajectory.
@@ -95,13 +125,15 @@ def _single_run(cfg: ExperimentConfig, run: int) -> np.ndarray:
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
     block = np.full((5, len(recorded)), np.nan)
 
-    def record(slot: int, vectors: int) -> bool:
+    def record(slot: int, vectors: int) -> Optional[float]:
+        """Fills the slot and returns its grad_norm_sq; None once the
+        metric left the finite range."""
         xmat = driver.positions(state)
         # add.reduce is what mean and sum call, without their dispatch
         xbar = np.add.reduce(xmat) / problem.n_nodes
         g = problem.global_grad_norm_sq(xbar)
         if not math.isfinite(g) or g > DIVERGENCE_LIMIT:
-            return False
+            return None
         dev = xmat - xbar
         cons = float(np.add.reduce(dev * dev, axis=None)) / problem.n_nodes
         block[:2, slot] = g, cons
@@ -111,58 +143,81 @@ def _single_run(cfg: ExperimentConfig, run: int) -> np.ndarray:
         if problem.x_star is not None:
             err = xbar - problem.x_star
             block[4, slot] = float(np.add.reduce(err * err))
-        return True
+        return g
 
     cum_vectors = 0
-    slot = 0
-    if record(0, 0):
-        slot = 1
-        for r in range(cfg.rounds):
+    done = 0
+    for slot, until in enumerate(recorded):
+        for r in range(done, until):
             out = driver.step(state, run_stream.child("round", r))
             state = out.state
             cum_vectors += out.vectors_per_link
-            if recorded[slot] == r + 1:
-                if not record(slot, cum_vectors):
-                    break
-                slot += 1
-    return block[:, :slot]
+        done = until
+        g = record(slot, cum_vectors)
+        if g is None:
+            return block[:, :slot]
+        if cut is not None and cut.hit(slot, g):
+            return None
+    return block
 
 
 # set once in each pool worker process by the pool's initializer
-_worker_config: Optional[ExperimentConfig] = None
+_worker_args: tuple = ()
 
 
-def _set_worker_config(cfg: ExperimentConfig) -> None:
-    global _worker_config
-    _worker_config = cfg
+def _set_worker_args(cfg: ExperimentConfig, cut: Optional[_Cut]) -> None:
+    global _worker_args
+    _worker_args = cfg, cut
 
 
 def _worker_run(run: int):
-    return _single_run(_worker_config, run)
+    cfg, cut = _worker_args
+    return _single_run(cfg, run, cut)
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
+                   prune_at: Optional[tuple] = None) -> Optional[Trace]:
     """Average num_runs independent seeded runs pointwise per recorded round.
 
     Deterministic for a given base_seed regardless of jobs: runs own
     path-addressed streams and the reduction is ordered by run index.  A run
     whose metric leaves the finite range truncates the trace at the first bad
     round and flags the result.
+
+    prune_at=(target, r) returns None, skipping the runs left, once the
+    run-averaged grad_norm_sq is known to exceed target at a recorded round
+    >= r: the sustained rounds-to-target is then past r.  With jobs = 1 the
+    finished runs' sums carry into the next run's check; a pool worker
+    checks its own run alone.
     """
+    recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
+    cut = None
+    if prune_at is not None:
+        target, incumbent = prune_at
+        cut = _Cut(target, bisect.bisect_left(recorded, incumbent),
+                   cfg.num_runs, np.zeros(len(recorded)))
     if jobs > 1 and cfg.num_runs > 1:
         # each worker receives the config once, then only run indices
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.num_runs),
-                                 initializer=_set_worker_config,
-                                 initargs=(cfg,)) as pool:
+                                 initializer=_set_worker_args,
+                                 initargs=(cfg, cut)) as pool:
             results = list(pool.map(_worker_run, range(cfg.num_runs)))
+        if any(block is None for block in results):
+            return None
     else:
-        results = [_single_run(cfg, run) for run in range(cfg.num_runs)]
+        results = []
+        for run in range(cfg.num_runs):
+            block = _single_run(cfg, run, cut)
+            if block is None:
+                return None
+            if cut is not None:
+                cut.sums[:block.shape[1]] += block[0]
+            results.append(block)
 
-    recorded = np.array(_recorded_rounds(cfg.rounds, cfg.cadence))
     # valid length = rounds recorded before any run went non-finite
     n_valid = min(block.shape[1] for block in results)
     if n_valid == 0:
-        raise RuntimeError("experiment diverged at the initial point")
+        raise _Diverged("experiment diverged at the initial point")
 
     def avg(row):
         arrs = [block[row, :n_valid] for block in results]
@@ -176,7 +231,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
     # dist_to_opt_sq are NaN throughout when the problem lacks f* or x*
     gns, cons, gap, vecs, dist = map(avg, range(5))
     gap, dist = (None if np.all(np.isnan(a)) else a for a in (gap, dist))
-    return Trace(rounds=recorded[:n_valid], grad_norm_sq=gns,
+    return Trace(rounds=np.array(recorded)[:n_valid], grad_norm_sq=gns,
                  consensus_err=cons, fgap=gap, vectors_per_link=vecs,
                  dist_to_opt_sq=dist, diverged=n_valid < len(recorded))
 
@@ -190,6 +245,9 @@ class GridPoint:
     alpha: float
     rounds_to_target: Optional[int]
     diverged: bool
+    # stopped once it could no longer beat the best point (compare only); its
+    # rounds_to_target and diverged are then unknown and read None and False
+    pruned: bool = False
 
 
 @dataclass(frozen=True)
@@ -219,11 +277,17 @@ def default_alpha_grid(stability_alpha: float, points: int = 20,
 
 def tune_to_target(cfg: ExperimentConfig, target: float,
                    alphas: Optional[Sequence[float]] = None,
-                   jobs: int = 1) -> TuneResult:
+                   jobs: int = 1, prune: bool = False) -> TuneResult:
     """Grid-search alpha for the fewest rounds to reach the target error.
 
     Ties break toward the larger stepsize.  Not reaching the target inside the
     round budget is a valid (reported) outcome, as is divergence.
+
+    With prune=True the points run largest alpha first, and each one stops,
+    reported as pruned, once its averaged error is known to exceed the target
+    at a recorded round >= the best point's rounds-to-target: it can then
+    neither win nor tie.  best and best_trace are those of prune=False;
+    points keep grid order.
     """
     if alphas is None:
         alphas = default_alpha_grid(1.0 / cfg.problem.lipschitz())
@@ -231,18 +295,29 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
         raise ValueError("empty tuning grid")
     # every grid point is validated before the first run
     hypers = [replace(cfg.hyper, alpha=float(alpha)) for alpha in alphas]
-    points = []
+    order = range(len(hypers))
+    if prune:
+        order = sorted(order, key=lambda i: -hypers[i].alpha)
+    points = [None] * len(hypers)
     best_hp = None
     best_trace = None
     best_key = None
-    for hp in hypers:
+    for i in order:
+        hp = hypers[i]
+        prune_at = None
+        if prune and best_key is not None:
+            prune_at = target, best_key[0]
         try:
-            trace = run_experiment(replace(cfg, hyper=hp), jobs=jobs)
-            diverged = trace.diverged
-        except RuntimeError:  # diverged at the initial point
-            diverged = True
-        rtt = None if diverged else trace.rounds_to_target(target)
-        points.append(GridPoint(hp.alpha, rtt, diverged))
+            trace = run_experiment(replace(cfg, hyper=hp), jobs=jobs,
+                                   prune_at=prune_at)
+        except _Diverged:
+            points[i] = GridPoint(hp.alpha, None, True)
+            continue
+        if trace is None:
+            points[i] = GridPoint(hp.alpha, None, False, pruned=True)
+            continue
+        rtt = None if trace.diverged else trace.rounds_to_target(target)
+        points[i] = GridPoint(hp.alpha, rtt, trace.diverged)
         if rtt is not None:
             key = (rtt, -hp.alpha)
             if best_key is None or key < best_key:
@@ -267,12 +342,14 @@ def compare(cfgs: Sequence[ExperimentConfig], target: float,
 
     All configs are expected to share the problem and topology so the rows
     are directly comparable.  Each row is read from the trace the tuner ran
-    at its winning stepsize.
+    at its winning stepsize.  The tuner prunes grid points that can no
+    longer win, which leaves every row as it is without pruning.
     """
     rows = []
     for cfg in cfgs:
         grid = None if grids is None else grids.get(cfg.algorithm)
-        result = tune_to_target(cfg, target, alphas=grid, jobs=jobs)
+        result = tune_to_target(cfg, target, alphas=grid, jobs=jobs,
+                                prune=True)
         if result.best is None:
             rows.append(ComparisonRow(cfg.algorithm, None, None, None))
             continue

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ledsim import harness
+from ledsim import cli, harness
 from ledsim.cli import COMMANDS, KNOWN_KEYS, ConfigError, main, parse_config_file
 
 
@@ -349,6 +349,46 @@ def test_compare_table(tmp_path, capsys):
     assert lines[0] == "algorithm,alpha,rounds_to_target,vectors_to_target"
     assert len(lines) == 3
     assert "led:" in out
+
+
+def test_tune_reports_every_point_unpruned(tmp_path, capsys, monkeypatch):
+    results = []
+
+    def tune_and_keep(*args, **kwargs):
+        results.append(harness.tune_to_target(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "tune_to_target", tune_and_keep)
+    code, _, _ = _run(capsys, "--out", str(tmp_path / "tune.csv"), "tune",
+                      "--algo", "led", *QUAD_ARGS, "--target", "1e-6",
+                      "--grid-points", "6")
+    assert code == 0
+    assert len(results[0].points) == 6
+    assert not any(p.pruned for p in results[0].points)
+
+
+def test_compare_builds_the_problem_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    synth = cli.synth_logistic
+    monkeypatch.setattr(cli, "synth_logistic",
+                        lambda *a: calls.append(a) or synth(*a))
+    code, out, _ = _run(capsys, "--out", str(tmp_path / "cmp.csv"), "compare",
+                        "--algos", "led,local_dsgd,kgt", "--graph", "ring",
+                        "--n", "6", "--tau", "2", "--rounds", "10",
+                        "--runs", "1")
+    assert code == 0 and out.count("rounds=") == 3
+    assert len(calls) == 1
+
+
+def test_compare_rejects_unknown_algorithm_before_tuning(tmp_path, capsys,
+                                                         monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda *a, **k: runs.append(a))
+    code, out, err = _run(capsys, "--out", str(tmp_path / "c.csv"), "compare",
+                          "--algos", "led,bogus", *QUAD_ARGS)
+    assert code == 1 and "unknown algorithm 'bogus'" in err
+    assert out == "" and len(runs) == 0
 
 
 def test_compare_rejects_centralized_on_ring_before_tuning(tmp_path, capsys,

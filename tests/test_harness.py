@@ -1,6 +1,7 @@
 """Experiment runner: averaging, determinism, tuning, floors, serialization."""
 
 import pickle
+import random
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from ledsim import (ExperimentConfig, HyperParams, QuadraticProblem,
                     complete_mixing, metropolis_weights, build_graph,
                     noise_floor, quadratic_problem, run_experiment,
                     synth_logistic, tune_to_target)
-from ledsim import cli, harness
+from ledsim import algorithms, cli, harness
 from ledsim.algorithms import ALGORITHMS, METHODS
 from ledsim.harness import Trace, compare, default_alpha_grid
 from ledsim.problems import SynthConfig
@@ -339,6 +340,141 @@ def test_compare_single_algorithm_degenerate():
     cfg = _cfg(rounds=200)
     rows = compare([cfg], 1e-8, grids={"led": [0.1]})
     assert len(rows) == 1 and rows[0].algorithm == "led"
+
+
+# ---------------------------------------------------------------------------
+# exact pruning in compare
+# ---------------------------------------------------------------------------
+
+# reached by every method inside 60 rounds at some stepsize; 3.2 diverges
+PRUNE_GRID = (0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
+PRUNE_TARGET = 1e-3
+
+
+def _prune_grids(grid=PRUNE_GRID):
+    shuffled = list(grid)
+    random.Random(3).shuffle(shuffled)
+    return {"ascending": sorted(grid), "descending": sorted(grid)[::-1],
+            "shuffled": shuffled}
+
+
+def _compare(monkeypatch, cfgs, target, grids, prune=True, jobs=1):
+    """compare's rows and the tuning results behind them; prune=False
+    switches its tuner's pruning off."""
+    tunes = []
+    tune = harness.tune_to_target
+
+    def keep(*args, **kwargs):
+        kwargs["prune"] &= prune
+        tunes.append(tune(*args, **kwargs))
+        return tunes[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "tune_to_target", keep)
+        return compare(cfgs, target, grids=grids, jobs=jobs), tunes
+
+
+def _assert_prune_exact(cut, full, label):
+    """A pruned tuning has the unpruned best point and trace, and reports
+    every point it did not prune as the unpruned one does."""
+    assert cut.best == full.best, label
+    if full.best is not None:
+        _assert_traces_equal(cut.best_trace, full.best_trace, label)
+    for p, q in zip(cut.points, full.points, strict=True):
+        if p.pruned:
+            assert (p.rounds_to_target, p.diverged) == (None, False), label
+        else:
+            assert p == q, label
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_pruned_compare_rows_equal_unpruned(algo, monkeypatch):
+    for num_runs in (1, 3):
+        cfg = _method_cfg(algo, num_runs=num_runs, rounds=60)
+        for order, grid in _prune_grids().items():
+            grids = {algo: grid}
+            full, (full_tune,) = _compare(monkeypatch, [cfg], PRUNE_TARGET,
+                                          grids, prune=False)
+            assert full[0].alpha is not None and not any(
+                p.pruned for p in full_tune.points)
+            for jobs in (1, 2):
+                label = (algo, num_runs, order, jobs)
+                rows, (tune,) = _compare(monkeypatch, [cfg], PRUNE_TARGET,
+                                         grids, jobs=jobs)
+                assert pickle.dumps(rows) == pickle.dumps(full), label
+                _assert_prune_exact(tune, full_tune, label)
+                assert any(p.pruned for p in tune.points), label
+
+
+@pytest.mark.parametrize("algo", ["led", "kgt", "local_dsgd"])
+def test_pruning_is_exact_near_the_noise_floor(algo, monkeypatch):
+    # single runs cross a target near the floor while their average stays
+    # below it, so only the run-averaged bound may cut
+    grid = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.6)
+    for num_runs, target in ((3, 1e-3), (5, 1.78e-3), (5, 5.62e-3)):
+        cfg = _method_cfg(algo, sigma=0.2, num_runs=num_runs, rounds=60)
+        full, (full_tune,) = _compare(monkeypatch, [cfg], target,
+                                      {algo: grid}, prune=False)
+        for jobs in (1, 2):
+            label = (num_runs, target, jobs)
+            rows, (tune,) = _compare(monkeypatch, [cfg], target,
+                                     {algo: grid}, jobs=jobs)
+            assert rows == full, label
+            _assert_prune_exact(tune, full_tune, label)
+
+
+def test_pruning_keeps_a_tie_at_the_incumbent_round(monkeypatch):
+    # with cadence 5, alpha = 0.45 and 0.5 both reach the target at round 10
+    cfg = _method_cfg("led", num_runs=1, rounds=60, cadence=5)
+    for order, grid in _prune_grids((0.2, 0.3, 0.4, 0.45, 0.5)).items():
+        grids = {"led": grid}
+        full, (full_tune,) = _compare(monkeypatch, [cfg], PRUNE_TARGET,
+                                      grids, prune=False)
+        rows, (tune,) = _compare(monkeypatch, [cfg], PRUNE_TARGET, grids)
+        assert rows == full, order
+        _assert_prune_exact(tune, full_tune, order)
+        assert full[0].alpha == 0.5 and full[0].rounds_to_target == 10
+        tied = next(p for p in tune.points if p.alpha == 0.45)
+        assert tied.rounds_to_target == 10 and not tied.pruned
+
+
+def test_pruning_runs_fewer_steps(monkeypatch):
+    steps = []
+    step = algorithms.Driver.step
+    monkeypatch.setattr(algorithms.Driver, "step",
+                        lambda self, *a: steps.append(1) or step(self, *a))
+    cfg = _method_cfg("led", num_runs=3, rounds=60)
+    grids = {"led": list(PRUNE_GRID)}
+    full, _ = _compare(monkeypatch, [cfg], PRUNE_TARGET, grids, prune=False)
+    full_steps = len(steps)
+    steps.clear()
+    alphas = []
+    run = harness.run_experiment
+    monkeypatch.setattr(harness, "run_experiment", lambda cfg, **k:
+                        alphas.append(cfg.hyper.alpha) or run(cfg, **k))
+    assert compare([cfg], PRUNE_TARGET, grids=grids) == full
+    assert 0 < len(steps) < full_steps
+    assert alphas == sorted(PRUNE_GRID, reverse=True)  # largest alpha first
+
+
+def test_tune_never_prunes_by_default():
+    cfg = _method_cfg("led", num_runs=3, rounds=60)
+    res = tune_to_target(cfg, PRUNE_TARGET, alphas=PRUNE_GRID)
+    assert not any(p.pruned for p in res.points)
+    # the points as the tuner reported them before pruning existed
+    assert [(p.rounds_to_target, p.diverged) for p in res.points] == [
+        (None, False), (None, False), (39, False), (21, False), (11, False),
+        (54, False), (None, False), (None, True)]
+
+
+def test_tune_raises_a_runtime_error_from_a_step(monkeypatch):
+    # only divergence at the initial point is a reported outcome
+    def fail(self, state, stream):
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(algorithms.Driver, "step", fail)
+    with pytest.raises(RuntimeError, match="step failed"):
+        tune_to_target(_cfg(), 1e-4, alphas=[0.1])
 
 
 # ---------------------------------------------------------------------------
