@@ -102,6 +102,10 @@ class _Cut:
     num_runs: int
     sums: np.ndarray
 
+    def add(self, block: np.ndarray) -> None:
+        """Adds a finished run's grad_norm_sq, in run order."""
+        self.sums[:block.shape[1]] += block[0]
+
     def hit(self, slot: int, g: float) -> bool:
         return (slot >= self.first and g > self.target
                 and (self.sums[slot] + g) / self.num_runs > self.target)
@@ -211,7 +215,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
             if block is None:
                 return None
             if cut is not None:
-                cut.sums[:block.shape[1]] += block[0]
+                cut.add(block)
             results.append(block)
 
     # valid length = rounds recorded before any run went non-finite
@@ -283,11 +287,11 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     Ties break toward the larger stepsize.  Not reaching the target inside the
     round budget is a valid (reported) outcome, as is divergence.
 
-    With prune=True the points run largest alpha first, and each one stops,
-    reported as pruned, once its averaged error is known to exceed the target
-    at a recorded round >= the best point's rounds-to-target: it can then
-    neither win nor tie.  best and best_trace are those of prune=False;
-    points keep grid order.
+    The points run largest alpha first and are reported in grid order.  With
+    prune=True each one stops, reported as pruned, once its averaged error is
+    known to exceed the target at a recorded round >= the best point's
+    rounds-to-target: it can then neither win nor tie.  best and best_trace
+    are those of prune=False.
     """
     if alphas is None:
         alphas = default_alpha_grid(1.0 / cfg.problem.lipschitz())
@@ -295,14 +299,13 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
         raise ValueError("empty tuning grid")
     # every grid point is validated before the first run
     hypers = [replace(cfg.hyper, alpha=float(alpha)) for alpha in alphas]
-    order = range(len(hypers))
-    if prune:
-        order = sorted(order, key=lambda i: -hypers[i].alpha)
     points = [None] * len(hypers)
     best_hp = None
     best_trace = None
     best_key = None
-    for i in order:
+    # largest alpha first: the incumbent's round drops early, so pruning cuts
+    # sooner; the result does not depend on the order
+    for i in sorted(range(len(hypers)), key=lambda i: -hypers[i].alpha):
         hp = hypers[i]
         prune_at = None
         if prune and best_key is not None:

@@ -397,7 +397,11 @@ def test_pruned_compare_rows_equal_unpruned(algo, monkeypatch):
                                           grids, prune=False)
             assert full[0].alpha is not None and not any(
                 p.pruned for p in full_tune.points)
-            for jobs in (1, 2):
+            # jobs=2 starts one pool per point when num_runs > 1; points run
+            # largest alpha first whatever the grid order, so that leg runs
+            # on one order only
+            pool_leg = num_runs == 1 or order == "shuffled"
+            for jobs in (1, 2) if pool_leg else (1,):
                 label = (algo, num_runs, order, jobs)
                 rows, (tune,) = _compare(monkeypatch, [cfg], PRUNE_TARGET,
                                          grids, jobs=jobs)
