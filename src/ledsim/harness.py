@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -201,6 +200,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
         cut = _Cut(target, bisect.bisect_left(recorded, incumbent),
                    cfg.num_runs, np.zeros(len(recorded)))
     if jobs > 1 and cfg.num_runs > 1:
+        # imported here: concurrent.futures.process adds about 2 MB to every
+        # process that imports ledsim, and most runs never start a pool
+        from concurrent.futures import ProcessPoolExecutor
         # each worker receives the config once, then only run indices
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.num_runs),
                                  initializer=_set_worker_args,
@@ -386,6 +388,9 @@ def noise_floor(cfg: ExperimentConfig, tail_fraction: float = 0.25,
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must be in (0, 1]")
     trace = run_experiment(cfg, jobs=jobs)
+    if trace.diverged:
+        raise RuntimeError("noise_floor: the run diverged; its last finite "
+                           f"recorded round is {trace.rounds[-1]}")
     dist = trace.dist_to_opt_sq
     n_tail = max(2, int(len(dist) * tail_fraction))
     tail = dist[-n_tail:]

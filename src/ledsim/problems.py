@@ -21,12 +21,11 @@ def softplus(t: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=float)
+    """1/(1 + exp(-t)), with exp taken of -|t| only, so it cannot overflow;
+    a NaN keeps its sign bit, which -abs(t) would set."""
     pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(np.where(pos, -t, t))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -178,10 +177,8 @@ class LogisticProblem(Problem):
     def lipschitz(self) -> float:
         """Smoothness bound: logistic term (1/4S) lam_max(H_i^T H_i), plus the
         regularizer whose second derivative is bounded by 2."""
-        worst = 0.0
-        for d in self.datasets:
-            gram = d.features.T @ d.features
-            worst = max(worst, float(np.linalg.eigvalsh(gram)[-1]))
+        grams = np.stack([d.features.T @ d.features for d in self.datasets])
+        worst = float(np.linalg.eigvalsh(grams)[:, -1].max())
         return worst / (4.0 * self._zt.shape[2]) + 2.0 * self.reg
 
 
@@ -199,7 +196,7 @@ def synth_logistic(cfg: SynthConfig, seed: int) -> LogisticProblem:
         node = root.child("node", i)
         u_i = u0 + node.child("shift").normal(cfg.dim, cfg.sigma_h)
         h = node.child("features").normal((cfg.n_samples, cfg.dim), cfg.feature_scale)
-        z = node.child("labels").generator().random(cfg.n_samples)
+        z = node.child("labels").uniform(cfg.n_samples)
         y = np.where(z <= sigmoid(h @ u_i), 1, -1)
         datasets.append(NodeDataset(features=h, labels=y))
     return LogisticProblem(datasets, reg=cfg.reg, sigma=cfg.sigma)

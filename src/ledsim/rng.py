@@ -19,16 +19,20 @@ _ZEROS4 = np.zeros(4, dtype=np.uint64)
 
 
 @functools.cache
-def _shared_generator() -> np.random.Generator:
-    """One Philox Generator, rekeyed before every draw of normal()/uniform().
+def _shared_generator() -> tuple:
+    """One Philox Generator, rekeyed before every draw of normal()/uniform(),
+    with its reused state dict and a byte view of that state's key.
 
     A Philox state is fully set by its key, counter and buffer, so rekeying
     gives the draws of a fresh Philox(key=...) without constructing one (whose
-    unused SeedSequence reads os.urandom).  It never leaves this module, and it
-    is not safe to share across threads (ledsim parallelises with processes).
-    Created on first use rather than when ledsim is imported.
+    unused SeedSequence reads os.urandom); the setter copies the key, so a draw
+    writes only its 16 key bytes.  Created on first use; not safe to share
+    across threads (ledsim parallelises with processes).
     """
-    return np.random.Generator(np.random.Philox(0))
+    key = np.zeros(2, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+             "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(np.random.Philox(0)), state, memoryview(key).cast("B")
 
 
 class RngStream:
@@ -44,10 +48,9 @@ class RngStream:
         """Derive a sub-stream by extending the path."""
         return RngStream(self.seed, self.path + labels)
 
-    def _key(self) -> np.ndarray:
-        """The Philox key: the first 16 bytes of sha256(repr((seed, path)))."""
-        digest = hashlib.sha256(repr((self.seed, self.path)).encode()).digest()
-        return np.frombuffer(digest[:16], dtype=np.uint64)
+    def _digest(self) -> bytes:
+        """The 16 key bytes: the first 16 of sha256(repr((seed, path)))."""
+        return hashlib.sha256(repr((self.seed, self.path)).encode()).digest()[:16]
 
     def generator(self) -> np.random.Generator:
         """A fresh Generator keyed by sha256(seed, path).
@@ -55,15 +58,14 @@ class RngStream:
         Calling this twice on the same stream returns identical generators;
         the stream is a pure address, not a stateful source.
         """
-        return np.random.Generator(np.random.Philox(key=self._key()))
+        return np.random.Generator(np.random.Philox(
+            key=np.frombuffer(self._digest(), dtype=np.uint64)))
 
     def _rekeyed(self) -> np.random.Generator:
         """The shared Generator, reset to the state generator() starts in."""
-        gen = _shared_generator()
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS4, "key": self._key()},
-            "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        gen, state, key_bytes = _shared_generator()
+        key_bytes[:] = self._digest()
+        gen.bit_generator.state = state
         return gen
 
     def normal(self, size, scale: float = 1.0) -> np.ndarray:
@@ -73,9 +75,11 @@ class RngStream:
             out *= scale
         return out
 
-    def uniform(self) -> float:
-        """One uniform on [0, 1); equal to generator().random()."""
-        return float(self._rekeyed().random())
+    def uniform(self, size=None):
+        """Uniforms on [0, 1) equal to generator().random(size); a float
+        when size is None."""
+        u = self._rekeyed().random(size)
+        return float(u) if size is None else u
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"

@@ -26,20 +26,11 @@ class Graph:
             raise ValueError("graph is not connected")
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(np.array(list(self.edges), dtype=int).ravel(),
+                           minlength=self.n_nodes)
 
     def neighbors(self, i: int) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return sorted(b if a == i else a for a, b in self.edges if i in (a, b))
 
 
 def _edge(i: int, j: int) -> tuple:
@@ -151,9 +142,9 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis rule: w_ij = 1/(1+max(deg_i,deg_j)) on edges, diagonal fills."""
     n = g.n_nodes
     deg = g.degrees()
+    i, j = np.array(list(g.edges), dtype=int).reshape(-1, 2).T
     w = np.zeros((n, n))
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix.from_dense(w)
 

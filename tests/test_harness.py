@@ -499,6 +499,21 @@ def test_noise_floor_requires_known_minimizer(small_logistic):
         noise_floor(cfg)
 
 
+@pytest.mark.parametrize("rounds,cadence,last", [(40, 4, 4), (40, 40, 0)])
+def test_noise_floor_raises_on_divergence(rounds, cadence, last):
+    # led at alpha = 3.5 diverges within a few rounds; the second case keeps
+    # a single finite recorded slot, round 0
+    prob = quadratic_problem(4, 3, mu=0.5, lip=1.0, heterogeneity=1.0, seed=1,
+                             sigma=1e-2)
+    cfg = _cfg(problem=prob, mixing=complete_mixing(4), num_runs=2,
+               hyper=HyperParams(alpha=3.5, tau=2), rounds=rounds,
+               cadence=cadence)
+    trace = run_experiment(cfg)
+    assert trace.diverged and trace.rounds[-1] == last
+    with pytest.raises(RuntimeError, match=f"last finite recorded round is {last}$"):
+        noise_floor(cfg)
+
+
 def test_noise_floor_positive_under_noise():
     cfg = _cfg(sigma=0.05, num_runs=5, rounds=600, cadence=2,
                mixing=complete_mixing(6), hyper=HyperParams(alpha=0.2, tau=2))

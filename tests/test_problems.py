@@ -35,6 +35,32 @@ def test_sigmoid_basics():
     assert np.all(np.isfinite(sigmoid(np.array([-1e4, 1e4]))))
 
 
+def _sigmoid_mask(t):
+    """Reference: the per-sign boolean-mask form the branch-free sigmoid
+    replaced."""
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_sigmoid_bitwise_equals_mask_form():
+    t = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 709.9, -709.9,
+                         745.2, -745.2], np.linspace(-800.0, 800.0, 20001)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fast, ref = sigmoid(t), _sigmoid_mask(t)
+    # compared as bit patterns, so the sign of -0.0 and of NaN counts too
+    assert np.array_equal(_bits(fast), _bits(ref))
+    assert np.array_equal(_bits(sigmoid(t[::-7])), _bits(_sigmoid_mask(t[::-7])))
+
+
 # ---------------------------------------------------------------------------
 # logistic values and gradients
 # ---------------------------------------------------------------------------
@@ -164,6 +190,15 @@ def test_lipschitz_bounds_observed_curvature(small_logistic):
             assert lhs <= lip * np.linalg.norm(x - y) * (1 + 1e-9)
 
 
+def _lipschitz_loop(problem):
+    """Reference: one eigvalsh per node, as before the batched call."""
+    worst = 0.0
+    for d in problem.datasets:
+        gram = d.features.T @ d.features
+        worst = max(worst, float(np.linalg.eigvalsh(gram)[-1]))
+    return worst / (4.0 * len(problem.datasets[0].labels)) + 2.0 * problem.reg
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         NodeDataset(features=np.zeros((2, 3)), labels=np.array([1, 2]))
@@ -192,6 +227,44 @@ def test_synth_deterministic():
         assert np.array_equal(da.labels, db.labels)
     c = synth_logistic(SynthConfig(n_nodes=4, n_samples=100), seed=4)
     assert not np.array_equal(a.datasets[0].labels, c.datasets[0].labels)
+
+
+def _synth_loop(cfg, seed):
+    """Reference: synth_logistic's per-node loop with a fresh Generator per
+    node for the labels and the mask-form sigmoid, and the per-node _zt fill."""
+    root = RngStream(seed).child("synth")
+    u0 = root.child("shared").normal(cfg.dim, cfg.sigma_u)
+    feats, labels = [], []
+    for i in range(cfg.n_nodes):
+        node = root.child("node", i)
+        u_i = u0 + node.child("shift").normal(cfg.dim, cfg.sigma_h)
+        h = node.child("features").normal((cfg.n_samples, cfg.dim), cfg.feature_scale)
+        z = node.child("labels").generator().random(cfg.n_samples)
+        feats.append(h)
+        labels.append(np.where(z <= _sigmoid_mask(h @ u_i), 1, -1))
+    zt = np.empty((cfg.n_nodes, cfg.dim, cfg.n_samples))
+    for n, (h, y) in enumerate(zip(feats, labels)):
+        zt[n] = h.T * y
+    return feats, labels, zt
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(), SynthConfig(sigma_h=0.1),
+    SynthConfig(n_nodes=3, dim=4, n_samples=50, sigma=0.0),
+    SynthConfig(n_nodes=1, dim=1, n_samples=1),
+    SynthConfig(n_nodes=6, dim=9, n_samples=257, sigma_u=0.0, feature_scale=40.0),
+])
+def test_synth_and_lipschitz_bitwise_equal_per_node_loops(cfg):
+    for seed in (0, 1, 2, 7, 2 ** 40 + 3):
+        p = synth_logistic(cfg, seed)
+        feats, labels, zt = _synth_loop(cfg, seed)
+        assert len(p.datasets) == cfg.n_nodes
+        for d, h, y in zip(p.datasets, feats, labels):
+            assert np.array_equal(d.features, h)
+            assert np.array_equal(d.labels, y) and d.labels.dtype == y.dtype
+        assert p._zt.flags.c_contiguous
+        assert np.array_equal(_bits(p._zt), _bits(zt))
+        assert p.lipschitz() == _lipschitz_loop(p)
 
 
 def test_synth_label_balance_with_zero_generator():

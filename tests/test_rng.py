@@ -68,6 +68,10 @@ def test_draws_equal_fresh_generator_draws(seed, path, size, scale):
     assert np.array_equal(other.normal(size),
                           other.generator().standard_normal(size))
     assert s.uniform() == float(s.generator().random())
+    assert type(s.uniform()) is float
+    uniforms = s.uniform(size)
+    assert isinstance(uniforms, np.ndarray)
+    assert np.array_equal(uniforms, s.generator().random(size))
     # the held generator continues its own sequence, untouched by the above
     fresh = s.generator()
     fresh.standard_normal(size)

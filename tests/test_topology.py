@@ -106,6 +106,35 @@ def test_metropolis_sparsity_pattern():
                 assert w.w[i, j] == 0.0
 
 
+def _metropolis_loop(g):
+    """Reference: the per-edge loops that degrees() and metropolis_weights()
+    replaced with bincount and fancy indexing."""
+    deg = np.zeros(g.n_nodes, dtype=int)
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    w = np.zeros((g.n_nodes, g.n_nodes))
+    for i, j in g.edges:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return deg, w
+
+
+@pytest.mark.parametrize("kind,n,kw", [
+    ("ring", 1, {}), ("ring", 2, {}), ("ring", 15, {}),
+    ("grid", 12, {"rows": 3, "cols": 4}), ("grid", 7, {"rows": 7, "cols": 1}),
+    ("complete", 15, {}), ("complete", 30, {}),
+    ("erdos_renyi", 20, {"p": 0.3, "seed": 4}),
+    ("erdos_renyi", 40, {"p": 0.15, "seed": 1}),
+])
+def test_metropolis_bitwise_equals_edge_loop(kind, n, kw):
+    g = build_graph(kind, n, **kw)
+    deg, w = _metropolis_loop(g)
+    assert np.array_equal(g.degrees(), deg) and g.degrees().dtype == deg.dtype
+    got = metropolis_weights(g).w
+    assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # combination-matrix invariants and spectra
 # ---------------------------------------------------------------------------
