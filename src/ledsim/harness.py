@@ -83,99 +83,65 @@ class _Diverged(RuntimeError):
     """A run of an experiment left the finite range at its initial point."""
 
 
-@dataclass(frozen=True)
-class _Cut:
-    """Stops a grid point once its run-averaged grad_norm_sq is known to
-    exceed `target` at a recorded slot >= `first`, the incumbent's round.
+def _run_share(cfg: ExperimentConfig, runs: range,
+               prune_at: Optional[tuple]) -> Optional[list]:
+    """Runs the seeded runs `runs` one after another and returns their
+    metrics blocks, one column per recorded round and one row per Trace
+    metric (grad_norm_sq, consensus_err, fgap, vectors_per_link,
+    dist_to_opt_sq; NaN where undefined).  A run whose metric leaves the
+    finite range stops there, so its block is narrower.
 
-    Errors are >= 0 and `sums` adds the finished runs' values per slot in
-    run order, as the average does, so (sums + this run's value) / num_runs
-    is at most the average, rounding included.  Identical runs average to
-    themselves, so this run's own value must exceed the target too.  A cut
-    may be missed but is never wrong.  A pool worker's sums stay zero: it
-    checks its own run alone.
-    """
-
-    target: float
-    first: int
-    num_runs: int
-    sums: np.ndarray
-
-    def add(self, block: np.ndarray) -> None:
-        """Adds a finished run's grad_norm_sq, in run order."""
-        self.sums[:block.shape[1]] += block[0]
-
-    def hit(self, slot: int, g: float) -> bool:
-        return (slot >= self.first and g > self.target
-                and (self.sums[slot] + g) / self.num_runs > self.target)
-
-
-def _single_run(cfg: ExperimentConfig, run: int,
-                cut: Optional[_Cut] = None) -> Optional[np.ndarray]:
-    """One seeded run; returns its metrics block, one column per recorded
-    round and one row per Trace metric (grad_norm_sq, consensus_err, fgap,
-    vectors_per_link, dist_to_opt_sq; NaN where undefined).  A run whose
-    metric leaves the finite range stops there, so its block is narrower.
-    A run that the cut stops returns None.
+    prune_at=(target, r) returns None at the first recorded round >= r
+    where a run's grad_norm_sq g and (the share's finished runs' sums + g) /
+    num_runs both exceed target.  Errors are >= 0 and the average adds
+    every run's value in run order, so that sum is at most the average,
+    rounding included; identical runs average to themselves, hence the
+    check of g alone.  A cut may be missed but is never wrong.
 
     Metrics use exact gradients of the running state; the dual/stochastic
     machinery only affects the trajectory.
     """
     problem = cfg.problem
-    driver = Driver(cfg.algorithm, problem, cfg.mixing, cfg.hyper)
-    state = driver.init(cfg.initial_positions())
-    run_stream = RngStream(cfg.base_seed).child("run", run)
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
-    block = np.full((5, len(recorded)), np.nan)
-
-    def record(slot: int, vectors: int) -> Optional[float]:
-        """Fills the slot and returns its grad_norm_sq; None once the
-        metric left the finite range."""
-        xmat = driver.positions(state)
-        # add.reduce is what mean and sum call, without their dispatch
-        xbar = np.add.reduce(xmat) / problem.n_nodes
-        g = problem.global_grad_norm_sq(xbar)
-        if not math.isfinite(g) or g > DIVERGENCE_LIMIT:
-            return None
-        dev = xmat - xbar
-        cons = float(np.add.reduce(dev * dev, axis=None)) / problem.n_nodes
-        block[:2, slot] = g, cons
-        block[3, slot] = vectors
-        if problem.f_star is not None:
-            block[2, slot] = problem.mean_value(xbar) - problem.f_star
-        if problem.x_star is not None:
-            err = xbar - problem.x_star
-            block[4, slot] = float(np.add.reduce(err * err))
-        return g
-
-    cum_vectors = 0
-    done = 0
-    for slot, until in enumerate(recorded):
-        for r in range(done, until):
-            out = driver.step(state, run_stream.child("round", r))
-            state = out.state
-            cum_vectors += out.vectors_per_link
-        done = until
-        g = record(slot, cum_vectors)
-        if g is None:
-            return block[:, :slot]
-        if cut is not None and cut.hit(slot, g):
-            return None
-    return block
-
-
-# set once in each pool worker process by the pool's initializer
-_worker_args: tuple = ()
-
-
-def _set_worker_args(cfg: ExperimentConfig, cut: Optional[_Cut]) -> None:
-    global _worker_args
-    _worker_args = cfg, cut
-
-
-def _worker_run(run: int):
-    cfg, cut = _worker_args
-    return _single_run(cfg, run, cut)
+    target, incumbent = prune_at or (math.inf, 0)
+    first = bisect.bisect_left(recorded, incumbent)
+    sums = np.zeros(len(recorded))
+    blocks = []
+    for run in runs:
+        driver = Driver(cfg.algorithm, problem, cfg.mixing, cfg.hyper)
+        state = driver.init(cfg.initial_positions())
+        run_stream = RngStream(cfg.base_seed).child("run", run)
+        block = np.full((5, len(recorded)), np.nan)
+        cum_vectors = 0
+        done = 0
+        for slot, until in enumerate(recorded):
+            for r in range(done, until):
+                out = driver.step(state, run_stream.child("round", r))
+                state = out.state
+                cum_vectors += out.vectors_per_link
+            done = until
+            xmat = driver.positions(state)
+            # add.reduce is what mean and sum call, without their dispatch
+            xbar = np.add.reduce(xmat) / problem.n_nodes
+            g = problem.global_grad_norm_sq(xbar)
+            if not math.isfinite(g) or g > DIVERGENCE_LIMIT:
+                block = block[:, :slot]
+                break
+            dev = xmat - xbar
+            cons = float(np.add.reduce(dev * dev, axis=None)) / problem.n_nodes
+            block[:2, slot] = g, cons
+            block[3, slot] = cum_vectors
+            if problem.f_star is not None:
+                block[2, slot] = problem.mean_value(xbar) - problem.f_star
+            if problem.x_star is not None:
+                err = xbar - problem.x_star
+                block[4, slot] = float(np.add.reduce(err * err))
+            if (slot >= first and g > target
+                    and (sums[slot] + g) / cfg.num_runs > target):
+                return None
+        sums[:block.shape[1]] += block[0]
+        blocks.append(block)
+    return blocks
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
@@ -187,38 +153,32 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     whose metric leaves the finite range truncates the trace at the first bad
     round and flags the result.
 
-    prune_at=(target, r) returns None, skipping the runs left, once the
-    run-averaged grad_norm_sq is known to exceed target at a recorded round
-    >= r: the sustained rounds-to-target is then past r.  With jobs = 1 the
-    finished runs' sums carry into the next run's check; a pool worker
-    checks its own run alone.
+    The runs split into min(jobs, num_runs) contiguous shares, each run in
+    order by one process.  prune_at=(target, r) returns None, skipping the
+    runs left, once the run-averaged grad_norm_sq is known to exceed target
+    at a recorded round >= r: the sustained rounds-to-target is then past r.
+    Every share checks its own finished runs' sums, whatever jobs is.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
-    cut = None
-    if prune_at is not None:
-        target, incumbent = prune_at
-        cut = _Cut(target, bisect.bisect_left(recorded, incumbent),
-                   cfg.num_runs, np.zeros(len(recorded)))
-    if jobs > 1 and cfg.num_runs > 1:
+    k = min(jobs, cfg.num_runs)
+    # Python ints: run indices enter the stream keys through their repr
+    shares = [range(i * cfg.num_runs // k, (i + 1) * cfg.num_runs // k)
+              for i in range(k)]
+    if k == 1:
+        per_share = [_run_share(cfg, shares[0], prune_at)]
+    else:
         # imported here: concurrent.futures.process adds about 2 MB to every
         # process that imports ledsim, and most runs never start a pool
         from concurrent.futures import ProcessPoolExecutor
-        # each worker receives the config once, then only run indices
-        with ProcessPoolExecutor(max_workers=min(jobs, cfg.num_runs),
-                                 initializer=_set_worker_args,
-                                 initargs=(cfg, cut)) as pool:
-            results = list(pool.map(_worker_run, range(cfg.num_runs)))
-        if any(block is None for block in results):
-            return None
-    else:
-        results = []
-        for run in range(cfg.num_runs):
-            block = _single_run(cfg, run, cut)
-            if block is None:
-                return None
-            if cut is not None:
-                cut.add(block)
-            results.append(block)
+        # one task per worker, so each receives the config once
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            per_share = list(pool.map(_run_share, [cfg] * k, shares,
+                                      [prune_at] * k))
+    if any(blocks is None for blocks in per_share):
+        return None
+    results = [block for blocks in per_share for block in blocks]
 
     # valid length = rounds recorded before any run went non-finite
     n_valid = min(block.shape[1] for block in results)

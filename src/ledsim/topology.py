@@ -17,11 +17,15 @@ class Graph:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("graph needs at least one node")
+        seen = set()
         for i, j in self.edges:
             if i == j:
                 raise ValueError(f"self-loop ({i},{i}) not allowed")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(f"edge ({i},{j}) out of range")
+            if _edge(i, j) in seen:
+                raise ValueError(f"edge ({i},{j}) repeated as ({j},{i})")
+            seen.add(_edge(i, j))
         if not _connected(self.n_nodes, self.edges):
             raise ValueError("graph is not connected")
 

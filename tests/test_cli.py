@@ -231,6 +231,16 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     assert "diverged=true" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_jobs_below_one_is_error(tmp_path, capsys, jobs):
+    code, out, err = _run(capsys, "--jobs", jobs, "--out",
+                          str(tmp_path / "x.csv"), "run", "--algo", "led",
+                          *QUAD_ARGS)
+    assert code == 1 and out == ""
+    assert "jobs must be >= 1" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_missing_algo_is_config_error(tmp_path, capsys):
     code, _, err = _run(capsys, "--out", str(tmp_path / "x.csv"), "run",
                         *QUAD_ARGS)

@@ -68,7 +68,7 @@ def _assert_traces_equal(a, b, label):
             pickle.dumps(getattr(b, f.name)), (label, f.name)
 
 
-def test_reproducible_across_jobs():
+def test_reproducible_across_jobs(monkeypatch):
     # the logistic problem reaches workers pickled: its kernel data must keep
     # a layout that rounds the same way there
     logistic = synth_logistic(SynthConfig(n_nodes=6, dim=4, n_samples=50,
@@ -79,6 +79,25 @@ def test_reproducible_across_jobs():
         serial = run_experiment(cfg, jobs=1)
         parallel = run_experiment(cfg, jobs=2)
         _assert_traces_equal(serial, parallel, cfg.algorithm)
+    # uneven shares (5 runs over 2 or 3 processes), more jobs than runs
+    cfg = _method_cfg("led", num_runs=5, rounds=60)
+    serial = run_experiment(cfg)
+    for jobs in (2, 3):
+        _assert_traces_equal(serial, run_experiment(cfg, jobs=jobs), jobs)
+    two = replace(cfg, num_runs=2)
+    _assert_traces_equal(run_experiment(two), run_experiment(two, jobs=4), 4)
+    # each share prunes on its own runs' sums; the rows stay those of jobs=1
+    grids = {"led": PRUNE_GRID}
+    full, _ = _compare(monkeypatch, [cfg], PRUNE_TARGET, grids)
+    rows, (tune,) = _compare(monkeypatch, [cfg], PRUNE_TARGET, grids, jobs=3)
+    assert pickle.dumps(rows) == pickle.dumps(full)
+    assert any(p.pruned for p in tune.points)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_experiment(_cfg(), jobs=jobs)
 
 
 def test_noise_reaches_every_method_or_is_refused():

@@ -74,6 +74,13 @@ def test_self_loop_rejected():
         Graph(3, frozenset({(0, 0), (0, 1), (1, 2)}))
 
 
+def test_repeated_edge_rejected():
+    # both orientations of one undirected edge would count it twice in
+    # degrees, neighbors and the Metropolis weights
+    with pytest.raises(ValueError, match=r"edge \((0,1|1,0)\) repeated"):
+        Graph(3, frozenset({(0, 1), (1, 0), (1, 2)}))
+
+
 # ---------------------------------------------------------------------------
 # metropolis weights
 # ---------------------------------------------------------------------------
