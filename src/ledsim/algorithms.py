@@ -5,6 +5,10 @@ stream) to a RoundOutput.  States are row-major (N, m) arrays; mixing is a
 single dense matrix product W @ X.  Stochastic gradients are drawn from
 path-addressed streams so two methods fed the same stream see the same noise,
 which is what the equivalence tests rely on.
+
+Every METHODS entry also steps G states stacked as (G, N, m), with alpha a
+(G, 1, 1) array and one noise draw for all of them: node means run over axis
+-2, and each slice comes out bitwise as its state stepped alone.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ class HyperParams:
     defaulting to p/alpha (mixing weight alpha*zeta/p = 1);
     eta_pd the relaxation of the primal-dual single-step method; gamma the
     server/global stepsize of the server-workers variants.
+
+    The harness steps a grid of points at once through one instance whose
+    alpha is the (G, 1, 1) array of the points' stepsizes, set without
+    validation after each point was validated on its own.
     """
 
     alpha: float = 0.1
@@ -67,7 +75,7 @@ class RoundOutput:
     """Result of one communication round.
 
     grad_ledger holds the network-mean sampled gradient of each local step,
-    shape (tau, m); it lets tests replay the centroid recursion
+    shape (..., tau, m); it lets tests replay the centroid recursion
     x_bar' = x_bar - alpha * sum_t mean_i grad_i(phi_t).
     """
 
@@ -106,7 +114,7 @@ class LedState:
 def led_init(x0: np.ndarray, w: MixingMatrix, mode: str = "dual_from_mixing") -> LedState:
     """Initialize the dual as (I - W) x0, or as zero."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape[0] != w.n:
+    if x0.shape[-2] != w.n:
         raise ValueError("x0 row count must match the mixing matrix")
     if mode == "dual_from_mixing":
         y0 = x0 - w.w @ x0
@@ -121,16 +129,16 @@ def _local_pass(problem: Problem, x: np.ndarray, pull: np.ndarray, alpha: float,
                 tau: int, stream: Optional[RngStream]):
     """tau corrected gradient steps: phi <- phi - alpha*grad - pull.
 
-    Returns the final iterate and the (tau, m) ledger of network-mean sampled
-    gradients.  pull is the constant per-step correction term.
+    Returns the final iterate and the (..., tau, m) ledger of network-mean
+    sampled gradients.  pull is the constant per-step correction term.
     """
     phi = x.copy()
-    ledger = np.empty((tau, problem.dim))
+    ledger = np.empty(x.shape[:-2] + (tau, problem.dim))
     for t in range(tau):
         g = problem.sampled_grads(
             phi, stream.child("grad_noise", t) if stream is not None else None)
-        # in place, bitwise equal to g.mean(axis=0) and phi - alpha*g - pull
-        np.add.reduce(g, out=ledger[t])
+        # in place, bitwise equal to g.mean(axis=-2) and phi - alpha*g - pull
+        np.add.reduce(g, axis=-2, out=ledger[..., t, :])
         phi -= alpha * g
         phi -= pull
     ledger /= problem.n_nodes
@@ -140,11 +148,7 @@ def _local_pass(problem: Problem, x: np.ndarray, pull: np.ndarray, alpha: float,
 def led_round(state: LedState, problem: Problem, w: MixingMatrix,
               h: HyperParams, stream: Optional[RngStream] = None) -> RoundOutput:
     """One round: tau corrected local steps, one diffusion, one dual update."""
-    phi, ledger = _local_pass(problem, state.x, h.beta_eff * state.y,
-                              h.alpha, h.tau, stream)
-    x_new = w.w @ phi
-    y_new = state.y + phi - x_new
-    return RoundOutput(LedState(x_new, y_new), ledger, 1)
+    return _led(state, problem, w, h.alpha, h.beta_eff, h.tau, stream)
 
 
 def led1_step(state: LedState, problem: Problem, w: MixingMatrix,
@@ -153,6 +157,15 @@ def led1_step(state: LedState, problem: Problem, w: MixingMatrix,
     """Single-local-step form; shares the code path of led_round with tau=1."""
     return led_round(state, problem, w,
                      HyperParams(alpha=alpha, beta=beta, tau=1), stream)
+
+
+def _led(state: LedState, problem: Problem, w: MixingMatrix, alpha, beta: float,
+         tau: int, stream: Optional[RngStream]) -> RoundOutput:
+    """led_round on unpacked hyperparameters, so alpha may be a batch array."""
+    phi, ledger = _local_pass(problem, state.x, beta * state.y, alpha, tau, stream)
+    x_new = w.w @ phi
+    y_new = state.y + phi - x_new
+    return RoundOutput(LedState(x_new, y_new), ledger, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +266,10 @@ def scaffnew_round(state: ScaffnewState, problem: Problem, w: MixingMatrix,
                    stream: Optional[RngStream] = None) -> RoundOutput:
     """Local step always; mix with probability p, scaled by alpha*zeta/p."""
     mix_weight = alpha * zeta / p
-    if mix_weight > 1.0 + 1e-12:
+    if np.max(mix_weight) > 1.0 + 1e-12:
         raise ValueError(
-            f"alpha*zeta/p = {mix_weight:.4g} > 1 leaves the convex-combination "
-            "region of the skipping update")
+            f"alpha*zeta/p = {np.max(mix_weight):.4g} > 1 leaves the "
+            "convex-combination region of the skipping update")
     g = problem.sampled_grads(
         state.x, stream.child("grad_noise", 0) if stream is not None else None)
     phi = state.x - alpha * (g + state.z)
@@ -276,7 +289,7 @@ def scaffnew_round(state: ScaffnewState, problem: Problem, w: MixingMatrix,
         z_new = state.z
         vectors = 0
     new = ScaffnewState(x_new, z_new)
-    return RoundOutput(new, g.mean(axis=0, keepdims=True), vectors)
+    return RoundOutput(new, g.mean(axis=-2, keepdims=True), vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +345,9 @@ def k_gt_round(state: TrackingState, problem: Problem, w: MixingMatrix,
 
 @dataclass(frozen=True)
 class ScaffoldState:
-    x: np.ndarray       # (m,) shared server iterate
-    c: np.ndarray       # (N, m) per-node controls
-    c_bar: np.ndarray   # (m,) server control
+    x: np.ndarray       # (..., m) shared server iterate
+    c: np.ndarray       # (..., N, m) per-node controls
+    c_bar: np.ndarray   # (..., m) server control
 
 
 def scaffold_round(state: ScaffoldState, problem: Problem, alpha: float,
@@ -344,19 +357,21 @@ def scaffold_round(state: ScaffoldState, problem: Problem, alpha: float,
     Controls refresh from the realized local progress:
     c_i+ = c_i - c_bar + (x - phi_i_tau) / (tau alpha).
     """
-    start = np.broadcast_to(state.x, (problem.n_nodes, problem.dim)).copy()
-    phi, ledger = _local_pass(problem, start, alpha * (state.c_bar - state.c),
+    # x[..., None, :] puts a shared vector against the node axis
+    x, c_bar = state.x[..., None, :], state.c_bar[..., None, :]
+    start = np.broadcast_to(x, state.c.shape).copy()
+    phi, ledger = _local_pass(problem, start, alpha * (c_bar - state.c),
                               alpha, tau, stream)
-    x_new = phi.mean(axis=0)
-    c_new = state.c - state.c_bar + (state.x - phi) / (tau * alpha)
-    new = ScaffoldState(x_new, c_new, c_new.mean(axis=0))
+    x_new = phi.mean(axis=-2)
+    c_new = state.c - c_bar + (x - phi) / (tau * alpha)
+    new = ScaffoldState(x_new, c_new, c_new.mean(axis=-2))
     return RoundOutput(new, ledger, 2)
 
 
 @dataclass(frozen=True)
 class GateState:
-    x: np.ndarray  # (m,) shared iterate
-    y: np.ndarray  # (N, m) per-node correctors, columns sum to 0
+    x: np.ndarray  # (..., m) shared iterate
+    y: np.ndarray  # (..., N, m) per-node correctors, columns sum to 0
 
 
 def _gated_round(state: GateState, problem: Problem, alpha: float,
@@ -364,10 +379,12 @@ def _gated_round(state: GateState, problem: Problem, alpha: float,
                  stream: Optional[RngStream]) -> RoundOutput:
     """Local steps from the shared iterate, then x+ = (1-mix) x +
     mix mean(phi_tau); y_i+ = y_i + phi_i_tau - mean(phi_tau)."""
-    start = np.broadcast_to(state.x, (problem.n_nodes, problem.dim)).copy()
+    x = state.x[..., None, :]
+    start = np.broadcast_to(x, state.y.shape).copy()
     phi, ledger = _local_pass(problem, start, pull, alpha, tau, stream)
-    phi_bar = phi.mean(axis=0)
-    x_new = (1.0 - mix) * state.x + mix * phi_bar
+    phi_bar = phi.mean(axis=-2, keepdims=True)
+    # on the node axis, so that a (G, 1, 1) mix meets x row by row
+    x_new = ((1.0 - mix) * x + mix * phi_bar)[..., 0, :]
     y_new = state.y + (phi - phi_bar)
     return RoundOutput(GateState(x_new, y_new), ledger, 1)
 
@@ -396,18 +413,27 @@ def led_server_round(state: GateState, problem: Problem, alpha: float,
 @dataclass(frozen=True)
 class MethodSpec:
     """init(x0, problem, w, h) builds the first state; step(state, problem, w,
-    h, stream) runs one round.  A centralized method needs the complete graph."""
+    h, stream) runs one round.  A centralized method needs the complete graph;
+    a shared one keeps its iterate state.x as one vector for all nodes, with
+    no node axis."""
 
     init: Callable
     step: Callable
     centralized: bool = False
+    shared: bool = False
 
 
-def _zero_init(cls, shared=False):
-    """init of cls(x, correction): x0, or its mean as a centralized method's
-    shared iterate, with every node's correction at zero."""
-    return lambda x0, p, w, h: cls(x0.mean(axis=0) if shared else x0,
-                                   np.zeros_like(x0))
+def _zero_init(cls):
+    """init of cls(x, correction): x0, with every node's correction at zero."""
+    return lambda x0, p, w, h: cls(x0, np.zeros_like(x0))
+
+
+def _gated(step):
+    """The spec of a server-workers method: a GateState whose shared iterate
+    starts at the mean of x0."""
+    return MethodSpec(lambda x0, p, w, h: GateState(x0.mean(axis=-2),
+                                                    np.zeros_like(x0)),
+                      step, centralized=True, shared=True)
 
 
 # Steps take (state, problem, w, h, stream).  led1 and dsgd pin tau = 1, and
@@ -417,8 +443,8 @@ def _zero_init(cls, shared=False):
 METHODS = {
     "led": MethodSpec(lambda x0, p, w, h: led_init(x0, w), led_round),
     "led1": MethodSpec(lambda x0, p, w, h: led_init(x0, w), lambda s, p, w, h, r:
-                       led1_step(s, p, w, h.alpha,
-                                 1.0 if h.beta is None else h.beta, r)),
+                       _led(s, p, w, h.alpha, 1.0 if h.beta is None else h.beta,
+                            1, r)),
     "pdfp2o": MethodSpec(_zero_init(PrimalDualState), lambda s, p, w, h, r:
                          pdfp2o_step(s, p, w, h.alpha, h.eta_pd, r)),
     "scaffnew": MethodSpec(_zero_init(ScaffnewState), lambda s, p, w, h, r:
@@ -430,22 +456,20 @@ METHODS = {
     "kgt": MethodSpec(_zero_init(TrackingState), lambda s, p, w, h, r:
                       k_gt_round(s, p, w, h.alpha, h.tau, r)),
     "scaffold": MethodSpec(
-        lambda x0, p, w, h: ScaffoldState(x0.mean(axis=0), np.zeros_like(x0),
-                                          np.zeros(x0.shape[1])),
+        lambda x0, p, w, h: ScaffoldState(x0.mean(axis=-2), np.zeros_like(x0),
+                                          np.zeros_like(x0[..., 0, :])),
         lambda s, p, w, h, r: scaffold_round(s, p, h.alpha, h.tau, r),
-        centralized=True),
+        centralized=True, shared=True),
     "local_sgd": MethodSpec(lambda x0, p, w, h: PrimalState(x0), lambda s, p, w, h, r:
                             local_dsgd_round(s, p, w, h.alpha, h.tau, r),
                             centralized=True),
-    "fedgate": MethodSpec(_zero_init(GateState, shared=True), lambda s, p, w, h, r:
-                          fedgate_round(s, p, h.alpha, h.gamma, h.tau, r),
-                          centralized=True),
-    "vrl_sgd": MethodSpec(_zero_init(GateState, shared=True), lambda s, p, w, h, r:
-                          fedgate_round(s, p, h.alpha, 1.0 / h.alpha, h.tau, r),
-                          centralized=True),
-    "led_server": MethodSpec(_zero_init(GateState, shared=True), lambda s, p, w, h, r:
-                             led_server_round(s, p, h.alpha, h.beta_eff, h.gamma,
-                                              h.tau, r), centralized=True),
+    "fedgate": _gated(lambda s, p, w, h, r:
+                      fedgate_round(s, p, h.alpha, h.gamma, h.tau, r)),
+    "vrl_sgd": _gated(lambda s, p, w, h, r:
+                      fedgate_round(s, p, h.alpha, 1.0 / h.alpha, h.tau, r)),
+    "led_server": _gated(lambda s, p, w, h, r:
+                         led_server_round(s, p, h.alpha, h.beta_eff, h.gamma,
+                                          h.tau, r)),
 }
 
 ALGORITHMS = tuple(METHODS)
@@ -481,7 +505,9 @@ class Driver:
         return self.spec.step(state, self.problem, self.w, self.h, stream)
 
     def positions(self, state) -> np.ndarray:
-        """Node estimates as an (N, m) matrix (replicated for shared iterates)."""
-        if state.x.ndim == 1:
-            return np.broadcast_to(state.x, (self.problem.n_nodes, self.problem.dim))
+        """Node estimates as (..., N, m) (replicated for shared iterates)."""
+        if self.spec.shared:
+            x = state.x[..., None, :]
+            return np.broadcast_to(x, x.shape[:-2] + (self.problem.n_nodes,
+                                                      self.problem.dim))
         return state.x

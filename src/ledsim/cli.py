@@ -234,10 +234,12 @@ def cmd_run(args, cfg: dict) -> int:
 
 
 def cmd_tune(args, cfg: dict) -> int:
+    if args.grid_points is not None and args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     experiment = build_experiment(cfg, _get(cfg, "algorithm.id", str))
     target = _get(cfg, "harness.target", float, 1e-4)
     grid = None
-    if args.grid_points:
+    if args.grid_points is not None:
         grid = default_alpha_grid(1.0 / experiment.problem.lipschitz(),
                                   points=args.grid_points)
     result = tune_to_target(experiment, target, alphas=grid, jobs=args.jobs)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import bisect
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,35 +84,58 @@ class _Diverged(RuntimeError):
     """A run of an experiment left the finite range at its initial point."""
 
 
-def _run_share(cfg: ExperimentConfig, runs: range,
-               prune_at: Optional[tuple]) -> Optional[list]:
-    """Runs the seeded runs `runs` one after another and returns their
-    metrics blocks, one column per recorded round and one row per Trace
-    metric (grad_norm_sq, consensus_err, fgap, vectors_per_link,
-    dist_to_opt_sq; NaN where undefined).  A run whose metric leaves the
-    finite range stops there, so its block is narrower.
+def _with_alpha(hyper: HyperParams, alpha) -> HyperParams:
+    """hyper with its alpha replaced, unvalidated: an array steps a batch."""
+    hyper = copy.copy(hyper)
+    object.__setattr__(hyper, "alpha", alpha)
+    return hyper
 
-    prune_at=(target, r) returns None at the first recorded round >= r
-    where a run's grad_norm_sq g and (the share's finished runs' sums + g) /
-    num_runs both exceed target.  Errors are >= 0 and the average adds
-    every run's value in run order, so that sum is at most the average,
-    rounding included; identical runs average to themselves, hence the
-    check of g alone.  A cut may be missed but is never wrong.
+
+def _run_share(cfg: ExperimentConfig, hypers: list, runs: range,
+               prune_at: Optional[tuple]) -> Optional[list]:
+    """Runs the seeded runs `runs` one after another and returns, for each
+    point of `hypers`, its runs' metrics blocks: one column per recorded
+    round and one row per Trace metric (grad_norm_sq, consensus_err, fgap,
+    vectors_per_link, dist_to_opt_sq; NaN where undefined).  A point whose
+    metric leaves the finite range stops there, so its block is narrower.
+
+    One point runs alone, with scalar alpha and (N, m) states.  Several,
+    which differ in alpha only, run in lockstep as one batch: alpha is a
+    (G, 1, 1) array, states are (G, N, m), and each noise draw serves every
+    point.  Every operation acts on each slice as on a lone run, so a point's
+    blocks are bitwise those it gets alone.  A point that stops leaves the
+    batch.
+
+    prune_at=(target, r), for one point only, returns None at the first
+    recorded round >= r where a run's grad_norm_sq g and (the share's
+    finished runs' sums + g) / num_runs both exceed target.  Errors are >= 0
+    and the average adds every run's value in run order, so that sum is at
+    most the average, rounding included; identical runs average to
+    themselves, hence the check of g alone.  A cut may be missed but is never
+    wrong.
 
     Metrics use exact gradients of the running state; the dual/stochastic
     machinery only affects the trajectory.
     """
     problem = cfg.problem
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
-    target, incumbent = prune_at or (math.inf, 0)
+    target, incumbent = prune_at or (math.inf, math.inf)
     first = bisect.bisect_left(recorded, incumbent)
     sums = np.zeros(len(recorded))
-    blocks = []
+    x0, hyper = cfg.initial_positions(), hypers[0]
+    batched = len(hypers) > 1
+    if batched:
+        x0 = np.stack([x0] * len(hypers))
+        hyper = _with_alpha(hyper, np.array([h.alpha for h in hypers])[:, None, None])
+    blocks = [[] for _ in hypers]
     for run in runs:
-        driver = Driver(cfg.algorithm, problem, cfg.mixing, cfg.hyper)
-        state = driver.init(cfg.initial_positions())
+        driver = Driver(cfg.algorithm, problem, cfg.mixing, hyper)
+        state = driver.init(x0)
         run_stream = RngStream(cfg.base_seed).child("run", run)
-        block = np.full((5, len(recorded)), np.nan)
+        block = np.full((len(hypers), 5, len(recorded)), np.nan)
+        width = np.full(len(hypers), len(recorded))
+        # the points still in the batch; a slice writes faster than indices
+        live = slice(None)
         cum_vectors = 0
         done = 0
         for slot, until in enumerate(recorded):
@@ -122,64 +146,68 @@ def _run_share(cfg: ExperimentConfig, runs: range,
             done = until
             xmat = driver.positions(state)
             # add.reduce is what mean and sum call, without their dispatch
-            xbar = np.add.reduce(xmat) / problem.n_nodes
+            xbar = np.add.reduce(xmat, axis=-2) / problem.n_nodes
             g = problem.global_grad_norm_sq(xbar)
-            if not math.isfinite(g) or g > DIVERGENCE_LIMIT:
-                block = block[:, :slot]
-                break
-            dev = xmat - xbar
-            cons = float(np.add.reduce(dev * dev, axis=None)) / problem.n_nodes
-            block[:2, slot] = g, cons
-            block[3, slot] = cum_vectors
+            finite = g <= DIVERGENCE_LIMIT   # False for inf and NaN
+            if not (finite.all() if batched else finite):
+                if not np.any(finite):
+                    width[live] = slot
+                    break
+                live = np.arange(len(hypers))[live]
+                width[live[~finite]] = slot
+                live, xmat, xbar, g = (a[finite] for a in (live, xmat, xbar, g))
+                state = type(state)(*(getattr(state, f.name)[finite]
+                                      for f in fields(state)))
+                driver.h = _with_alpha(driver.h, driver.h.alpha[finite])
+            dev = xmat - xbar[..., None, :]
+            block[live, 0, slot] = g
+            block[live, 1, slot] = (np.add.reduce(dev * dev, axis=(-2, -1))
+                                    / problem.n_nodes)
+            block[live, 3, slot] = cum_vectors
             if problem.f_star is not None:
-                block[2, slot] = problem.mean_value(xbar) - problem.f_star
+                block[live, 2, slot] = problem.mean_value(xbar) - problem.f_star
             if problem.x_star is not None:
                 err = xbar - problem.x_star
-                block[4, slot] = float(np.add.reduce(err * err))
+                block[live, 4, slot] = np.add.reduce(err * err, axis=-1)
             if (slot >= first and g > target
                     and (sums[slot] + g) / cfg.num_runs > target):
                 return None
-        sums[:block.shape[1]] += block[0]
-        blocks.append(block)
+        for k, n in enumerate(width):
+            blocks[k].append(block[k, :, :n])
+        sums[:width[0]] += block[0, 0, :width[0]]
     return blocks
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
-                   prune_at: Optional[tuple] = None) -> Optional[Trace]:
-    """Average num_runs independent seeded runs pointwise per recorded round.
-
-    Deterministic for a given base_seed regardless of jobs: runs own
-    path-addressed streams and the reduction is ordered by run index.  A run
-    whose metric leaves the finite range truncates the trace at the first bad
-    round and flags the result.
-
-    The runs split into min(jobs, num_runs) contiguous shares, each run in
-    order by one process.  prune_at=(target, r) returns None, skipping the
-    runs left, once the run-averaged grad_norm_sq is known to exceed target
-    at a recorded round >= r: the sustained rounds-to-target is then past r.
-    Every share checks its own finished runs' sums, whatever jobs is.
-    """
+def _run(cfg: ExperimentConfig, hypers: list, jobs: int,
+         prune_at: Optional[tuple] = None) -> Optional[list]:
+    """Every point's runs' metrics blocks in run order, from one _run_share
+    per contiguous share of the runs, min(jobs, num_runs) shares in all;
+    None once pruned."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
     k = min(jobs, cfg.num_runs)
     # Python ints: run indices enter the stream keys through their repr
     shares = [range(i * cfg.num_runs // k, (i + 1) * cfg.num_runs // k)
               for i in range(k)]
     if k == 1:
-        per_share = [_run_share(cfg, shares[0], prune_at)]
+        per_share = [_run_share(cfg, hypers, shares[0], prune_at)]
     else:
         # imported here: concurrent.futures.process adds about 2 MB to every
         # process that imports ledsim, and most runs never start a pool
         from concurrent.futures import ProcessPoolExecutor
         # one task per worker, so each receives the config once
         with ProcessPoolExecutor(max_workers=k) as pool:
-            per_share = list(pool.map(_run_share, [cfg] * k, shares,
-                                      [prune_at] * k))
+            per_share = list(pool.map(_run_share, [cfg] * k, [hypers] * k,
+                                      shares, [prune_at] * k))
     if any(blocks is None for blocks in per_share):
         return None
-    results = [block for blocks in per_share for block in blocks]
+    return [[block for blocks in per_share for block in blocks[i]]
+            for i in range(len(hypers))]
 
+
+def _trace(cfg: ExperimentConfig, results: list) -> Trace:
+    """The Trace of one point's runs' metrics blocks, averaged pointwise."""
+    recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
     # valid length = rounds recorded before any run went non-finite
     n_valid = min(block.shape[1] for block in results)
     if n_valid == 0:
@@ -200,6 +228,25 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     return Trace(rounds=np.array(recorded)[:n_valid], grad_norm_sq=gns,
                  consensus_err=cons, fgap=gap, vectors_per_link=vecs,
                  dist_to_opt_sq=dist, diverged=n_valid < len(recorded))
+
+
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
+                   prune_at: Optional[tuple] = None) -> Optional[Trace]:
+    """Average num_runs independent seeded runs pointwise per recorded round.
+
+    Deterministic for a given base_seed regardless of jobs: runs own
+    path-addressed streams and the reduction is ordered by run index.  A run
+    whose metric leaves the finite range truncates the trace at the first bad
+    round and flags the result.
+
+    The runs split into min(jobs, num_runs) contiguous shares, each run in
+    order by one process.  prune_at=(target, r) returns None, skipping the
+    runs left, once the run-averaged grad_norm_sq is known to exceed target
+    at a recorded round >= r: the sustained rounds-to-target is then past r.
+    Every share checks its own finished runs' sums, whatever jobs is.
+    """
+    points = _run(cfg, [cfg.hyper], jobs, prune_at)
+    return None if points is None else _trace(cfg, points[0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +296,13 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     Ties break toward the larger stepsize.  Not reaching the target inside the
     round budget is a valid (reported) outcome, as is divergence.
 
-    The points run largest alpha first and are reported in grid order.  With
-    prune=True each one stops, reported as pruned, once its averaged error is
-    known to exceed the target at a recorded round >= the best point's
-    rounds-to-target: it can then neither win nor tie.  best and best_trace
-    are those of prune=False.
+    The points are reported in grid order.  With prune=False they all run at
+    once, in lockstep on a shared noise draw (one pool for jobs > 1); each
+    point's trace is bitwise that of run_experiment.  With prune=True they
+    run one at a time, largest alpha first, and each one stops, reported as
+    pruned, once its averaged error is known to exceed the target at a
+    recorded round >= the best point's rounds-to-target: it can then neither
+    win nor tie.  best and best_trace are those of prune=False.
     """
     if alphas is None:
         alphas = default_alpha_grid(1.0 / cfg.problem.lipschitz())
@@ -267,14 +316,17 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     best_key = None
     # largest alpha first: the incumbent's round drops early, so pruning cuts
     # sooner; the result does not depend on the order
-    for i in sorted(range(len(hypers)), key=lambda i: -hypers[i].alpha):
+    order = sorted(range(len(hypers)), key=lambda i: -hypers[i].alpha)
+    batch = None if prune else _run(cfg, [hypers[i] for i in order], jobs)
+    for k, i in enumerate(order):
         hp = hypers[i]
-        prune_at = None
-        if prune and best_key is not None:
-            prune_at = target, best_key[0]
         try:
-            trace = run_experiment(replace(cfg, hyper=hp), jobs=jobs,
-                                   prune_at=prune_at)
+            if batch is not None:
+                trace = _trace(cfg, batch[k])
+            else:
+                prune_at = None if best_key is None else (target, best_key[0])
+                trace = run_experiment(replace(cfg, hyper=hp), jobs=jobs,
+                                       prune_at=prune_at)
         except _Diverged:
             points[i] = GridPoint(hp.alpha, None, True)
             continue

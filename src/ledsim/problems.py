@@ -61,7 +61,12 @@ class SynthConfig:
 
 
 class Problem:
-    """Base class: N nodes sharing dimension m, plus a noisy-gradient oracle."""
+    """Base class: N nodes sharing dimension m, plus a noisy-gradient oracle.
+
+    grads, grads_at, sampled_grads and global_grad_norm_sq take leading
+    batch axes, (..., N, m) node points or (..., m) shared points, and give
+    each slice bitwise what it gives alone; so does the quadratic
+    mean_value."""
 
     n_nodes: int
     dim: int
@@ -76,14 +81,15 @@ class Problem:
         raise NotImplementedError
 
     def grads(self, x_nodes: np.ndarray) -> np.ndarray:
-        """Stacked per-node gradients at distinct points, (N, m) -> (N, m)."""
+        """Stacked per-node gradients at distinct points, (..., N, m) ->
+        (..., N, m)."""
         raise NotImplementedError
 
     def grads_at(self, x: np.ndarray) -> np.ndarray:
         """All node gradients evaluated at the same point."""
-        # a filled (N, m) array is cheaper to build than a broadcast view
-        x_nodes = np.empty((self.n_nodes, self.dim))
-        x_nodes[...] = x
+        # a filled (..., N, m) array is cheaper to build than a broadcast view
+        x_nodes = np.empty(x.shape[:-1] + (self.n_nodes, self.dim))
+        x_nodes[...] = x[..., None, :]
         return self.grads(x_nodes)
 
     def mean_value(self, x: np.ndarray) -> float:
@@ -95,8 +101,9 @@ class Problem:
         return sum(self.value(i, x) for i in range(self.n_nodes)) / self.n_nodes
 
     def sampled_grads(self, x_nodes: np.ndarray, stream: RngStream | None) -> np.ndarray:
-        """grads plus iid N(0, sigma^2) noise, one (N, m) draw per call;
-        with sigma == 0 it is grads(x_nodes) bit for bit."""
+        """grads plus iid N(0, sigma^2) noise, one (N, m) draw per call that
+        every batch slice shares; with sigma == 0 it is grads(x_nodes) bit
+        for bit."""
         g = self.grads(x_nodes)
         if self.sigma > 0:
             if stream is None:
@@ -105,10 +112,12 @@ class Problem:
         return g
 
     def global_grad_norm_sq(self, x_bar: np.ndarray) -> float:
-        """||(1/N) sum_i grad f_i(x_bar)||^2, the error criterion."""
+        """||(1/N) sum_i grad f_i(x_bar)||^2, the error criterion: a float,
+        or one per batch slice."""
         # add.reduce is what mean and sum call, without their dispatch
-        g = np.add.reduce(self.grads_at(x_bar)) / self.n_nodes
-        return float(np.add.reduce(g * g))
+        g = np.add.reduce(self.grads_at(x_bar), axis=-2) / self.n_nodes
+        norm_sq = np.add.reduce(g * g, axis=-1)
+        return float(norm_sq) if norm_sq.ndim == 0 else norm_sq
 
     def heterogeneity_at(self, x: np.ndarray) -> float:
         """(1/N) sum_i ||grad f_i(x) - grad f(x)||^2."""
@@ -164,13 +173,13 @@ class LogisticProblem(Problem):
         # computed in place on -t.  Where exp(-t) overflows to inf, sigma(t)
         # is 1/inf = 0, its correct limit.  Agrees with grad() to rounding
         # (~1e-14), not bitwise.
-        s = (x_nodes[:, None, :] @ self._zt)[:, 0, :]            # (N, S), -t
+        s = (x_nodes[..., None, :] @ self._zt)[..., 0, :]        # (..., N, S), -t
         with np.errstate(over="ignore"):
             np.exp(s, out=s)
         s += 1.0
         np.reciprocal(s, out=s)
         # _zt holds +y h, so the loss gradient is the negated product
-        loss = (self._zt @ s[:, :, None])[:, :, 0] / -self._zt.shape[2]
+        loss = (self._zt @ s[..., None])[..., 0] / -self._zt.shape[2]
         reg = self.reg * 2.0 * x_nodes / (1.0 + x_nodes * x_nodes) ** 2
         return loss + reg
 
@@ -241,11 +250,14 @@ class QuadraticProblem(Problem):
         return self.a[i] @ x - self.b[i]
 
     def _mean_value(self, x: np.ndarray) -> float:
-        # (1/N) sum_i f_i(x) = 0.5 x^T a_bar x - b_bar^T x
+        # (1/N) sum_i f_i(x) = 0.5 x^T a_bar x - b_bar^T x, by a gemv and a
+        # dot; a batch goes point by point, so that no gemm rounds it
+        if x.ndim > 1:
+            return np.array([self._mean_value(point) for point in x])
         return float(0.5 * x @ self.a_bar @ x - self.b_bar @ x)
 
     def grads(self, x_nodes: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,nj->ni", self.a, x_nodes) - self.b
+        return np.einsum("nij,...nj->...ni", self.a, x_nodes) - self.b
 
     def lipschitz(self) -> float:
         return float(np.linalg.eigvalsh(self.a)[:, -1].max())

@@ -1,10 +1,12 @@
 """Single-round behavior, invariants, and communication accounting."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from ledsim import (Driver, HyperParams, QuadraticProblem, RngStream,
-                    complete_mixing, default_stepsize)
+                    complete_mixing, default_stepsize, harness, synth_logistic)
 from ledsim.algorithms import (ALGORITHMS, CENTRALIZED, GateState,
                                PrimalDualState, PrimalState, ScaffnewState,
                                TrackingState, consensus_sqrt,
@@ -13,6 +15,7 @@ from ledsim.algorithms import (ALGORITHMS, CENTRALIZED, GateState,
                                led_server_round, local_dsgd_round, pdfp2o_step,
                                scaffnew_round, scaffold_round, uda_ed_init,
                                uda_ed_step)
+from ledsim.problems import SynthConfig
 
 
 def _single_node_half_xsq():
@@ -424,6 +427,40 @@ def test_driver_positions_shape(quad6, ring6, complete6):
         d = Driver(algo, quad6, w, HyperParams(alpha=0.01, tau=2))
         pos = d.positions(d.init(np.zeros((6, 4))))
         assert pos.shape == (6, 4), algo
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_stacked_states_step_as_separate_states(algo, quad6_noisy, ring6,
+                                                complete6):
+    # G = N = 6, so a batch of shared iterates has the (N, m) shape of one
+    # unshared state; p = 0.5 makes scaffnew flip its coins
+    logistic = synth_logistic(SynthConfig(n_nodes=6, dim=4, n_samples=50,
+                                          sigma=0.05), seed=7)
+    w = complete6 if algo in CENTRALIZED else ring6
+    alphas = np.array([0.02, 0.05, 0.1, 0.2, 0.3, 0.4])
+    h = HyperParams(alpha=0.1, tau=2, p=0.5)
+    x0 = np.random.default_rng(5).normal(size=(6, 4))
+    for problem in (quad6_noisy, logistic):
+        solo = [Driver(algo, problem, w, replace(h, alpha=a)) for a in alphas]
+        batch = Driver(algo, problem, w,
+                       harness._with_alpha(h, alphas[:, None, None]))
+        states = [d.init(x0) for d in solo]
+        stacked = batch.init(np.stack([x0] * len(alphas)))
+        for r in range(4):
+            stream = RngStream(3).child("round", r)
+            outs = [d.step(st, stream) for d, st in zip(solo, states)]
+            out = batch.step(stacked, stream)
+            states, stacked = [o.state for o in outs], out.state
+            for k, (d, o) in enumerate(zip(solo, outs)):
+                label = (algo, problem.n_nodes, r, k)
+                for f in fields(o.state):
+                    got, want = getattr(stacked, f.name)[k], getattr(o.state, f.name)
+                    assert got.shape == want.shape, label
+                    assert got.tobytes() == want.tobytes(), (label, f.name)
+                assert out.grad_ledger[k].tobytes() == o.grad_ledger.tobytes()
+                assert out.vectors_per_link == o.vectors_per_link, label
+                got = batch.positions(stacked)[k]
+                assert got.tobytes() == d.positions(o.state).tobytes(), label
 
 
 def test_dsgd_id_ignores_tau(quad6, ring6):

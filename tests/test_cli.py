@@ -347,6 +347,20 @@ def test_tune_writes_grid_table(tmp_path, capsys):
     assert "best_alpha=" in out
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_tune_rejects_grid_points_below_one(tmp_path, capsys, monkeypatch,
+                                            points):
+    # 0 used to tune the default 20-point grid; -3 failed inside numpy
+    runs = []
+    monkeypatch.setattr(harness, "_run_share", lambda *a: runs.append(a))
+    out_path = tmp_path / "tune.csv"
+    code, out, err = _run(capsys, "--out", str(out_path), "tune",
+                          "--algo", "led", *QUAD_ARGS, "--grid-points", points)
+    assert code == 1
+    assert f"--grid-points must be >= 1, got {points}" in err
+    assert out == "" and not out_path.exists() and not runs
+
+
 def test_compare_table(tmp_path, capsys):
     out_path = tmp_path / "cmp.csv"
     code, out, _ = _run(capsys, "--out", str(out_path), "compare",

@@ -1,5 +1,6 @@
 """Experiment runner: averaging, determinism, tuning, floors, serialization."""
 
+import concurrent.futures
 import pickle
 import random
 from dataclasses import fields, replace
@@ -292,6 +293,7 @@ def test_tune_rejects_explicit_zeta_before_any_run(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run_experiment",
                         lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(harness, "_run_share", lambda *a: calls.append(a))
     cfg = _cfg(algorithm="scaffnew", sigma=0.05, num_runs=2,
                hyper=HyperParams(alpha=0.01, p=0.5, zeta=10.0))
     with pytest.raises(ValueError, match="zeta"):
@@ -462,21 +464,23 @@ def test_pruning_keeps_a_tie_at_the_incumbent_round(monkeypatch):
 
 
 def test_pruning_runs_fewer_steps(monkeypatch):
+    # steps of one grid point each: an unpruned tuning steps its points as
+    # one batch, one alpha per point
     steps = []
     step = algorithms.Driver.step
-    monkeypatch.setattr(algorithms.Driver, "step",
-                        lambda self, *a: steps.append(1) or step(self, *a))
+    monkeypatch.setattr(algorithms.Driver, "step", lambda self, *a:
+                        steps.append(np.size(self.h.alpha)) or step(self, *a))
     cfg = _method_cfg("led", num_runs=3, rounds=60)
     grids = {"led": list(PRUNE_GRID)}
     full, _ = _compare(monkeypatch, [cfg], PRUNE_TARGET, grids, prune=False)
-    full_steps = len(steps)
+    full_steps = sum(steps)
     steps.clear()
     alphas = []
     run = harness.run_experiment
     monkeypatch.setattr(harness, "run_experiment", lambda cfg, **k:
                         alphas.append(cfg.hyper.alpha) or run(cfg, **k))
     assert compare([cfg], PRUNE_TARGET, grids=grids) == full
-    assert 0 < len(steps) < full_steps
+    assert 0 < sum(steps) < full_steps
     assert alphas == sorted(PRUNE_GRID, reverse=True)  # largest alpha first
 
 
@@ -488,6 +492,103 @@ def test_tune_never_prunes_by_default():
     assert [(p.rounds_to_target, p.diverged) for p in res.points] == [
         (None, False), (None, False), (39, False), (21, False), (11, False),
         (54, False), (None, False), (None, True)]
+
+
+# ---------------------------------------------------------------------------
+# unpruned tuning in lockstep
+# ---------------------------------------------------------------------------
+
+def _per_point(cfg, alphas):
+    """{alpha: run_experiment's trace, or None where it diverged at the
+    initial point}."""
+    traces = {}
+    for alpha in alphas:
+        try:
+            traces[alpha] = run_experiment(
+                replace(cfg, hyper=replace(cfg.hyper, alpha=alpha)))
+        except harness._Diverged:
+            traces[alpha] = None
+    return traces
+
+
+def _assert_tune_equals_per_point(monkeypatch, cfg, target, alphas, jobs):
+    """tune_to_target's points, best and every trace it builds are those of
+    separate run_experiment calls, bitwise."""
+    ref = _per_point(cfg, alphas)
+    built = []
+    trace = harness._trace
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_trace",
+                  lambda *a: built.append(trace(*a)) or built[-1])
+        res = tune_to_target(cfg, target, alphas=alphas, jobs=jobs)
+    label = (cfg.algorithm, cfg.num_runs, jobs)
+    expect = [harness.GridPoint(a, None, True) if t is None else
+              harness.GridPoint(a, None if t.diverged
+                                else t.rounds_to_target(target), t.diverged)
+              for a, t in ref.items()]
+    assert res.points == tuple(expect), label
+    hits = [(p.rounds_to_target, -p.alpha) for p in expect
+            if p.rounds_to_target is not None]
+    if hits:
+        assert res.best.alpha == -min(hits)[1], label
+        _assert_traces_equal(res.best_trace, ref[res.best.alpha], label)
+    else:
+        assert res.best is None and res.best_trace is None, label
+    # the batch runs largest alpha first
+    wanted = [ref[a] for a in sorted(alphas, reverse=True) if ref[a] is not None]
+    assert len(built) == len(wanted), label
+    for got, want in zip(built, wanted):
+        _assert_traces_equal(got, want, label)
+    return res
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_unpruned_tune_equals_per_point_runs(algo, monkeypatch):
+    # on the quadratic 3.2 diverges for every method, so it leaves the batch
+    # mid-run; logistic gradients are bounded, so no stepsize diverges there
+    logistic = synth_logistic(SynthConfig(n_nodes=6, dim=4, n_samples=50,
+                                          sigma=0.05), seed=7)
+    for num_runs in (1, 3):
+        quad = _method_cfg(algo, num_runs=num_runs, rounds=60)
+        cfgs = {"quadratic": quad,
+                "logistic": replace(quad, problem=logistic)}
+        for name, cfg in cfgs.items():
+            for jobs in (1, 2):
+                res = _assert_tune_equals_per_point(
+                    monkeypatch, cfg, PRUNE_TARGET, PRUNE_GRID, jobs)
+                if name == "quadratic":
+                    assert res.points[-1].diverged and res.best is not None
+
+
+def test_unpruned_tune_points_leave_the_batch_at_their_own_round(monkeypatch):
+    # 6.4, 3.2 and 2.4 leave the finite range by rounds 3, 9 and 18, with
+    # cadence 3 recording in between
+    cfg = _method_cfg("led", num_runs=3, rounds=60, cadence=3)
+    res = _assert_tune_equals_per_point(monkeypatch, cfg, PRUNE_TARGET,
+                                        (0.1, 6.4, 0.4, 3.2, 2.4), 1)
+    assert [p.diverged for p in res.points] == [False, True, False, True, True]
+
+
+def test_unpruned_tune_initial_point_divergence_reads_diverged(monkeypatch):
+    cfg = _method_cfg("led", num_runs=2, rounds=20, x0=np.full((6, 3), 1e7))
+    res = _assert_tune_equals_per_point(monkeypatch, cfg, PRUNE_TARGET,
+                                        (0.05, 0.1, 0.2), 1)
+    assert all(p.diverged for p in res.points) and res.best is None
+
+
+def test_unpruned_tune_starts_one_pool(monkeypatch):
+    pools = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    cfg = _method_cfg("led", num_runs=4, rounds=20)
+    res = tune_to_target(cfg, PRUNE_TARGET, alphas=PRUNE_GRID[:5], jobs=2)
+    assert len(res.points) == 5
+    assert len(pools) == 1
 
 
 def test_tune_raises_a_runtime_error_from_a_step(monkeypatch):

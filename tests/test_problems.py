@@ -420,6 +420,34 @@ def test_mean_value_and_fgap(quad6):
     assert quad6.mean_value(quad6.x_star + 0.5) > quad6.f_star
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), dim=st.integers(1, 6), batch=st.integers(1, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_oracles_equal_slice_by_slice(n, dim, batch, seed):
+    # leading batch axes: every slice bitwise as computed alone, with one
+    # noise draw shared by the slices
+    quad = quadratic_problem(n, dim, mu=0.2, lip=1.0, heterogeneity=1.0,
+                             seed=seed, sigma=0.1)
+    logistic = synth_logistic(SynthConfig(n_nodes=n, dim=dim, n_samples=30,
+                                          sigma=0.1), seed=seed % 1000)
+    points = RngStream(seed).child("points")
+    xs = points.child("nodes").normal((batch, n, dim))
+    xbars = points.child("shared").normal((batch, dim))
+    noise = RngStream(seed).child("noise")
+    for p in (quad, logistic):
+        for batched, alone in (
+                (p.grads(xs), [p.grads(x) for x in xs]),
+                (p.sampled_grads(xs, noise), [p.sampled_grads(x, noise) for x in xs]),
+                (p.grads_at(xbars), [p.grads_at(x) for x in xbars]),
+                (p.global_grad_norm_sq(xbars),
+                 [p.global_grad_norm_sq(x) for x in xbars])):
+            assert batched.tobytes() == np.array(alone).tobytes()
+    # the closed form of 1-D points, as written before batching
+    alone = [float(0.5 * x @ quad.a_bar @ x - quad.b_bar @ x) for x in xbars]
+    assert [quad.mean_value(x) for x in xbars] == alone
+    assert quad.mean_value(xbars).tobytes() == np.array(alone).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), dim=st.integers(1, 5),
        mu=st.floats(0.01, 1.0), spread=st.floats(1.0, 100.0),
