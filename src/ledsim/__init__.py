@@ -1,7 +1,6 @@
 """Desk-scale decentralized-optimization simulator and algorithm library."""
 
-from .algorithms import (ALGORITHMS, Driver, HyperParams, RoundOutput,
-                         default_stepsize)
+from .algorithms import ALGORITHMS, Driver, HyperParams, RoundOutput
 from .harness import (ExperimentConfig, NoiseFloor, Trace, TuneResult,
                       compare, noise_floor, run_experiment, tune_to_target)
 from .problems import (LogisticProblem, NodeDataset, Problem,
@@ -13,7 +12,7 @@ from .topology import (Graph, MixingMatrix, build_graph, complete_mixing,
                        validate_combination_matrix)
 
 __all__ = [
-    "ALGORITHMS", "Driver", "HyperParams", "RoundOutput", "default_stepsize",
+    "ALGORITHMS", "Driver", "HyperParams", "RoundOutput",
     "ExperimentConfig", "NoiseFloor", "Trace", "TuneResult", "compare",
     "noise_floor", "run_experiment", "tune_to_target",
     "LogisticProblem", "NodeDataset", "Problem", "QuadraticProblem",

@@ -13,6 +13,7 @@ Every METHODS entry also steps G states stacked as (G, N, m), with alpha a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,16 +48,17 @@ class HyperParams:
     eta_pd: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.gamma <= 0:
-            raise ValueError("stepsizes must be positive")
+        for name in ("alpha", "gamma", "beta", "zeta"):
+            value = getattr(self, name)
+            # written so that NaN fails too
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
         for name in ("p", "eta_pd"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in (0, 1]")
-        for name in ("beta", "zeta"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive when set")
         if self.zeta is not None and self.alpha * self.zeta / self.p > 1.0 + 1e-12:
             raise ValueError(f"zeta = {self.zeta!r} puts alpha*zeta/p above 1 "
                              f"at alpha = {self.alpha!r}")
@@ -82,11 +84,6 @@ class RoundOutput:
     state: object
     grad_ledger: Optional[np.ndarray]
     vectors_per_link: int
-
-
-def default_stepsize(lip: float, tau: int, rounds: int, n_nodes: int) -> float:
-    """Practical default alpha = 1 / (L + sqrt(tau R / N))."""
-    return 1.0 / (lip + np.sqrt(tau * rounds / n_nodes))
 
 
 def consensus_sqrt(w: MixingMatrix) -> np.ndarray:

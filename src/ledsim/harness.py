@@ -53,20 +53,13 @@ class Trace:
     dist_to_opt_sq: Optional[np.ndarray] = None
     diverged: bool = False
 
-    def rounds_to_target(self, target: float, sustained: bool = True) -> Optional[int]:
-        """Round at which the averaged error reaches the target.
-
-        With sustained=True (default) the error must stay at or below the
-        target for the rest of the recorded trace; a biased method that dips
-        through the target transiently on its way to a higher floor does not
-        count as having reached it.  sustained=False gives the first crossing.
-        """
+    def rounds_to_target(self, target: float) -> Optional[int]:
+        """Round from which the averaged error stays at or below the target
+        for the rest of the recorded trace; a biased method that dips through
+        the target transiently on its way to a higher floor does not count as
+        having reached it."""
         below = self.grad_norm_sq <= target
-        if sustained:
-            ok = np.flip(np.logical_and.accumulate(np.flip(below)))
-            hits = np.nonzero(ok)[0]
-        else:
-            hits = np.nonzero(below)[0]
+        hits = np.nonzero(np.flip(np.logical_and.accumulate(np.flip(below))))[0]
         if len(hits) == 0:
             return None
         return int(self.rounds[hits[0]])
@@ -230,23 +223,16 @@ def _trace(cfg: ExperimentConfig, results: list) -> Trace:
                  dist_to_opt_sq=dist, diverged=n_valid < len(recorded))
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
-                   prune_at: Optional[tuple] = None) -> Optional[Trace]:
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
     """Average num_runs independent seeded runs pointwise per recorded round.
 
     Deterministic for a given base_seed regardless of jobs: runs own
     path-addressed streams and the reduction is ordered by run index.  A run
     whose metric leaves the finite range truncates the trace at the first bad
-    round and flags the result.
-
-    The runs split into min(jobs, num_runs) contiguous shares, each run in
-    order by one process.  prune_at=(target, r) returns None, skipping the
-    runs left, once the run-averaged grad_norm_sq is known to exceed target
-    at a recorded round >= r: the sustained rounds-to-target is then past r.
-    Every share checks its own finished runs' sums, whatever jobs is.
+    round and flags the result.  The runs split into min(jobs, num_runs)
+    contiguous shares, each run in order by one process.
     """
-    points = _run(cfg, [cfg.hyper], jobs, prune_at)
-    return None if points is None else _trace(cfg, points[0])
+    return _trace(cfg, _run(cfg, [cfg.hyper], jobs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +257,16 @@ class TuneResult:
     # the trace the tuner ran at `best`; None when the target was not reached
     best_trace: Optional[Trace] = field(default=None, compare=False, repr=False)
 
-    @property
-    def achieved(self) -> bool:
-        return self.best is not None
-
     def best_rounds(self) -> Optional[int]:
         hits = [p.rounds_to_target for p in self.points
                 if p.rounds_to_target is not None]
         return min(hits) if hits else None
 
 
-def default_alpha_grid(stability_alpha: float, points: int = 20,
-                       decades: float = 4.0) -> np.ndarray:
-    """Log grid spanning `decades` decades up to the stability estimate."""
+def default_alpha_grid(stability_alpha: float, points: int = 20) -> np.ndarray:
+    """Log grid spanning four decades up to the stability estimate."""
     hi = math.log10(stability_alpha)
-    return np.logspace(hi - decades, hi, points)
+    return np.logspace(hi - 4.0, hi, points)
 
 
 def tune_to_target(cfg: ExperimentConfig, target: float,
@@ -296,14 +277,16 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     Ties break toward the larger stepsize.  Not reaching the target inside the
     round budget is a valid (reported) outcome, as is divergence.
 
-    The points are reported in grid order.  With prune=False they all run at
-    once, in lockstep on a shared noise draw (one pool for jobs > 1); each
-    point's trace is bitwise that of run_experiment.  With prune=True they
-    run one at a time, largest alpha first, and each one stops, reported as
-    pruned, once its averaged error is known to exceed the target at a
-    recorded round >= the best point's rounds-to-target: it can then neither
-    win nor tie.  best and best_trace are those of prune=False.
+    The points are reported in grid order and run largest alpha first.  With
+    prune=False they all run as one group, in lockstep on a shared noise draw
+    (one pool for jobs > 1); each point's trace is bitwise that of
+    run_experiment.  With prune=True each point is a group of its own, which
+    stops, reported as pruned, once its averaged error is known to exceed the
+    target at a recorded round >= the best point's rounds-to-target: it can
+    then neither win nor tie.  best and best_trace are those of prune=False.
     """
+    if not target >= 0:
+        raise ValueError(f"target must be >= 0, got {target!r}")
     if alphas is None:
         alphas = default_alpha_grid(1.0 / cfg.problem.lipschitz())
     if len(alphas) == 0:
@@ -311,38 +294,30 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     # every grid point is validated before the first run
     hypers = [replace(cfg.hyper, alpha=float(alpha)) for alpha in alphas]
     points = [None] * len(hypers)
-    best_hp = None
-    best_trace = None
-    best_key = None
+    # rounds-to-target, hyperparameters and trace of the best point so far
+    best = (None, None, None)
     # largest alpha first: the incumbent's round drops early, so pruning cuts
-    # sooner; the result does not depend on the order
+    # sooner, and a later point that ties it has the smaller alpha
     order = sorted(range(len(hypers)), key=lambda i: -hypers[i].alpha)
-    batch = None if prune else _run(cfg, [hypers[i] for i in order], jobs)
-    for k, i in enumerate(order):
-        hp = hypers[i]
-        try:
-            if batch is not None:
-                trace = _trace(cfg, batch[k])
-            else:
-                prune_at = None if best_key is None else (target, best_key[0])
-                trace = run_experiment(replace(cfg, hyper=hp), jobs=jobs,
-                                       prune_at=prune_at)
-        except _Diverged:
-            points[i] = GridPoint(hp.alpha, None, True)
-            continue
-        if trace is None:
-            points[i] = GridPoint(hp.alpha, None, False, pruned=True)
-            continue
-        rtt = None if trace.diverged else trace.rounds_to_target(target)
-        points[i] = GridPoint(hp.alpha, rtt, trace.diverged)
-        if rtt is not None:
-            key = (rtt, -hp.alpha)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_hp = hp
-                best_trace = trace
-    return TuneResult(best=best_hp, points=tuple(points), target=target,
-                      best_trace=best_trace)
+    for group in [[i] for i in order] if prune else [order]:
+        prune_at = None if best[0] is None else (target, best[0])
+        blocks = _run(cfg, [hypers[i] for i in group], jobs, prune_at)
+        for k, i in enumerate(group):
+            hp = hypers[i]
+            if blocks is None:
+                points[i] = GridPoint(hp.alpha, None, False, pruned=True)
+                continue
+            try:
+                trace = _trace(cfg, blocks[k])
+            except _Diverged:
+                points[i] = GridPoint(hp.alpha, None, True)
+                continue
+            rtt = None if trace.diverged else trace.rounds_to_target(target)
+            points[i] = GridPoint(hp.alpha, rtt, trace.diverged)
+            if rtt is not None and (best[0] is None or rtt < best[0]):
+                best = (rtt, hp, trace)
+    return TuneResult(best=best[1], points=tuple(points), target=target,
+                      best_trace=best[2])
 
 
 @dataclass(frozen=True)
@@ -387,9 +362,8 @@ class NoiseFloor:
     stationary: bool
 
 
-def noise_floor(cfg: ExperimentConfig, tail_fraction: float = 0.25,
-                jobs: int = 1) -> NoiseFloor:
-    """Mean E||x_bar - x*||^2 over the final tail of a long run.
+def noise_floor(cfg: ExperimentConfig, jobs: int = 1) -> NoiseFloor:
+    """Mean E||x_bar - x*||^2 over the last quarter of a long run.
 
     Requires a problem with a known minimizer.  The stationarity flag compares
     the two halves of the tail window; a ratio beyond 2x in either direction
@@ -397,14 +371,12 @@ def noise_floor(cfg: ExperimentConfig, tail_fraction: float = 0.25,
     """
     if cfg.problem.x_star is None:
         raise ValueError("noise_floor needs a problem with a known minimizer")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
     trace = run_experiment(cfg, jobs=jobs)
     if trace.diverged:
         raise RuntimeError("noise_floor: the run diverged; its last finite "
                            f"recorded round is {trace.rounds[-1]}")
     dist = trace.dist_to_opt_sq
-    n_tail = max(2, int(len(dist) * tail_fraction))
+    n_tail = max(2, len(dist) // 4)
     tail = dist[-n_tail:]
     half = n_tail // 2
     first, second = float(np.mean(tail[:half])), float(np.mean(tail[half:]))

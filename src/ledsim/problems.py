@@ -264,8 +264,8 @@ class QuadraticProblem(Problem):
 
 
 def quadratic_problem(n_nodes: int, dim: int, mu: float, lip: float,
-                      heterogeneity: float, seed: int, sigma: float = 0.0,
-                      hessian_spread: float = 0.5) -> QuadraticProblem:
+                      heterogeneity: float, seed: int,
+                      sigma: float = 0.0) -> QuadraticProblem:
     """Random strongly convex quadratic suite with controlled heterogeneity.
 
     The aggregate Hessian gets eigenvalues spread over [mu, lip] exactly, in a
@@ -284,14 +284,14 @@ def quadratic_problem(n_nodes: int, dim: int, mu: float, lip: float,
     a_bar = 0.5 * (a_bar + a_bar.T)  # kill asymmetric rounding
 
     a = np.broadcast_to(a_bar, (n_nodes, dim, dim)).copy()
-    if heterogeneity > 0 and hessian_spread > 0 and n_nodes > 1:
+    if heterogeneity > 0 and n_nodes > 1:
         raw = rng.child("hessians").normal((n_nodes, dim, dim))
         sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
         sym -= sym.mean(axis=0)  # centered: aggregate Hessian stays a_bar
         worst = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
         if worst > 0:
             # cap the deviation so A_i = a_bar + E_i keeps min eigenvalue >= mu/10
-            scale = min(hessian_spread, 0.9 * mu / worst)
+            scale = min(0.5, 0.9 * mu / worst)
             a = a + scale * sym
 
     b_bar = rng.child("center").normal(dim)

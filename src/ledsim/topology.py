@@ -33,9 +33,6 @@ class Graph:
         return np.bincount(np.array(list(self.edges), dtype=int).ravel(),
                            minlength=self.n_nodes)
 
-    def neighbors(self, i: int) -> list:
-        return sorted(b if a == i else a for a, b in self.edges if i in (a, b))
-
 
 def _edge(i: int, j: int) -> tuple:
     return (i, j) if i < j else (j, i)
@@ -60,12 +57,11 @@ def _connected(n: int, edges) -> bool:
 
 
 def build_graph(kind: str, n: int, rows: int | None = None, cols: int | None = None,
-                p: float | None = None, seed: int | None = None,
-                max_retries: int = 100) -> Graph:
+                p: float | None = None, seed: int | None = None) -> Graph:
     """Build a connected graph of the requested shape.
 
     kind is one of "ring", "grid", "complete", "erdos_renyi".  A grid needs
-    rows*cols == n; erdos_renyi resamples up to max_retries times until the
+    rows*cols == n; erdos_renyi resamples up to 100 times until the
     draw is connected, advancing the seed stream deterministically.
     """
     if n < 1:
@@ -95,7 +91,7 @@ def build_graph(kind: str, n: int, rows: int | None = None, cols: int | None = N
             raise ValueError("erdos_renyi requires edge probability p in [0,1]")
         if seed is None:
             seed = 0
-        for attempt in range(max_retries):
+        for attempt in range(100):
             rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + attempt)))
             mask = rng.random((n, n)) < p
             edges = {(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]}
@@ -103,7 +99,7 @@ def build_graph(kind: str, n: int, rows: int | None = None, cols: int | None = N
                 break
         else:
             raise RuntimeError(
-                f"no connected erdos_renyi sample after {max_retries} tries "
+                "no connected erdos_renyi sample after 100 tries "
                 f"(n={n}, p={p})")
     else:
         raise ValueError(f"unknown graph kind {kind!r}")
@@ -165,12 +161,6 @@ class CombinationReport:
     primitive: bool
     positive_definite: bool
     min_eigenvalue: float
-    second_largest_magnitude: float
-    max_row_sum_error: float
-
-    def all_ok(self) -> bool:
-        return (self.symmetric and self.doubly_stochastic
-                and self.primitive and self.positive_definite)
 
 
 def validate_combination_matrix(w: MixingMatrix) -> CombinationReport:
@@ -186,8 +176,7 @@ def validate_combination_matrix(w: MixingMatrix) -> CombinationReport:
     ds = row_err <= 1e-12 and bool(np.all(m >= 0))
     # For symmetric doubly stochastic matrices, primitivity is exactly
     # "all nonleading eigenvalues have magnitude < 1".
-    second = w.mixing_rate
-    primitive = second < 1.0 - 1e-12 if w.n > 1 else True
+    primitive = w.mixing_rate < 1.0 - 1e-12 if w.n > 1 else True
     min_eig = float(w.spectrum[-1])
     return CombinationReport(
         symmetric=sym,
@@ -195,8 +184,6 @@ def validate_combination_matrix(w: MixingMatrix) -> CombinationReport:
         primitive=primitive,
         positive_definite=min_eig > 0.0,
         min_eigenvalue=min_eig,
-        second_largest_magnitude=second,
-        max_row_sum_error=row_err,
     )
 
 

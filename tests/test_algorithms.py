@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ledsim import (Driver, HyperParams, QuadraticProblem, RngStream,
-                    complete_mixing, default_stepsize, harness, synth_logistic)
+                    complete_mixing, harness, synth_logistic)
 from ledsim.algorithms import (ALGORITHMS, CENTRALIZED, GateState,
                                PrimalDualState, PrimalState, ScaffnewState,
                                TrackingState, consensus_sqrt,
@@ -363,12 +363,6 @@ def test_led_server_large_gamma_keeps_dual_sum(quad6_noisy):
 # hyperparameters, accounting, driver
 # ---------------------------------------------------------------------------
 
-def test_default_stepsize_values():
-    assert default_stepsize(1.0, 4, 100, 4) == pytest.approx(1.0 / 11.0)
-    assert default_stepsize(1.0, 1, 16, 16) == pytest.approx(0.5)
-    assert default_stepsize(2.0, 1, 10 ** 8, 1) < 1e-3
-
-
 def test_hyperparams_defaults_and_validation():
     h = HyperParams(alpha=0.1, tau=5)
     assert h.beta_eff == pytest.approx(0.2)
@@ -392,6 +386,11 @@ def test_hyperparams_defaults_and_validation():
                        ({"zeta": 0.0}, "zeta"), ({"zeta": -1.0}, "zeta")):
         with pytest.raises(ValueError, match=field):
             HyperParams(alpha=0.1, **bad)
+    # every stepsize must be positive and finite; NaN fails every comparison
+    for field in ("alpha", "gamma", "beta", "zeta"):
+        for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{field} must be positive"):
+                HyperParams(**{"alpha": 0.1, field: bad})
 
 
 def test_communication_accounting_matches_costs(quad6, ring6, complete6):

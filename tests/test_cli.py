@@ -407,8 +407,7 @@ def test_compare_builds_the_problem_once(tmp_path, capsys, monkeypatch):
 def test_compare_rejects_unknown_algorithm_before_tuning(tmp_path, capsys,
                                                          monkeypatch):
     runs = []
-    monkeypatch.setattr(harness, "run_experiment",
-                        lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(harness, "_run", lambda *a: runs.append(a))
     code, out, err = _run(capsys, "--out", str(tmp_path / "c.csv"), "compare",
                           "--algos", "led,bogus", *QUAD_ARGS)
     assert code == 1 and "unknown algorithm 'bogus'" in err
@@ -418,8 +417,7 @@ def test_compare_rejects_unknown_algorithm_before_tuning(tmp_path, capsys,
 def test_compare_rejects_centralized_on_ring_before_tuning(tmp_path, capsys,
                                                           monkeypatch):
     runs = []
-    monkeypatch.setattr(harness, "run_experiment",
-                        lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(harness, "_run", lambda *a: runs.append(a))
     out_path = tmp_path / "c.csv"
     code, out, err = _run(capsys, "--out", str(out_path), "compare",
                           "--algos", "led,scaffold", *QUAD_ARGS)
@@ -438,6 +436,38 @@ def test_run_explicit_zero_beta_is_config_error(tmp_path, capsys):
     assert code == 1
     assert "beta" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                        ("--alpha", "0"), ("--gamma", "nan"),
+                                        ("--gamma", "-1")])
+def test_run_rejects_a_bad_stepsize(tmp_path, capsys, monkeypatch, flag,
+                                    value):
+    # --alpha nan used to run every round and exit 2, --gamma nan exit 0
+    runs = []
+    monkeypatch.setattr(harness, "_run_share", lambda *a: runs.append(a))
+    out_path = tmp_path / "x.csv"
+    code, out, err = _run(capsys, "--out", str(out_path), "run", "--algo",
+                          "led", *QUAD_ARGS, flag, value)
+    assert code == 1 and out == ""
+    assert f"error: {flag[2:]} must be positive and finite, got" in err
+    assert not out_path.exists() and not runs
+
+
+@pytest.mark.parametrize("command", [["tune", "--algo", "led"],
+                                     ["compare", "--algos", "led,kgt"]])
+@pytest.mark.parametrize("target", ["nan", "-0.001"])
+def test_tune_and_compare_reject_a_bad_target(tmp_path, capsys, monkeypatch,
+                                              command, target):
+    # tune --target nan used to print best_alpha=not_achieved and exit 0
+    runs = []
+    monkeypatch.setattr(harness, "_run_share", lambda *a: runs.append(a))
+    out_path = tmp_path / "t.csv"
+    code, out, err = _run(capsys, "--out", str(out_path), *command,
+                          *QUAD_ARGS, "--target", target)
+    assert code == 1 and out == ""
+    assert "error: target must be >= 0, got" in err
+    assert not out_path.exists() and not runs
 
 
 def test_compare_empty_algo_list(tmp_path, capsys):

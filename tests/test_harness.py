@@ -174,7 +174,6 @@ def _toy_trace(values):
 def test_rounds_to_target_sustained_ignores_transient_dip():
     t = _toy_trace([1.0, 1e-5, 1e-2, 1e-3, 1e-5, 1e-6])
     assert t.rounds_to_target(1e-4) == 4
-    assert t.rounds_to_target(1e-4, sustained=False) == 1
     assert t.rounds_to_target(1e-9) is None
 
 
@@ -243,14 +242,14 @@ def test_tune_single_node_finds_classical_optimum():
                            hyper=HyperParams(alpha=0.1), rounds=300,
                            num_runs=1, x0=np.array([[5.0, 5.0]]))
     res = tune_to_target(cfg, 1e-20, alphas=grid)
-    assert res.achieved
+    assert res.best is not None
     assert res.best.alpha == pytest.approx(0.8)  # 2/(0.5+2.0)
 
 
 def test_tune_unreachable_target():
     cfg = _cfg(sigma=0.1, num_runs=2, rounds=40)
     res = tune_to_target(cfg, 0.0, alphas=[0.05, 0.1])
-    assert not res.achieved
+    assert res.best is None
     assert all(p.rounds_to_target is None for p in res.points)
 
 
@@ -291,8 +290,7 @@ def test_tune_scaffnew_default_zeta_with_skipping(quad6_noisy, ring6):
 def test_tune_rejects_explicit_zeta_before_any_run(monkeypatch):
     # alpha * zeta / p = 2 at the second grid point
     calls = []
-    monkeypatch.setattr(harness, "run_experiment",
-                        lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(harness, "_run", lambda *a: calls.append(a))
     monkeypatch.setattr(harness, "_run_share", lambda *a: calls.append(a))
     cfg = _cfg(algorithm="scaffnew", sigma=0.05, num_runs=2,
                hyper=HyperParams(alpha=0.01, p=0.5, zeta=10.0))
@@ -470,18 +468,24 @@ def test_pruning_runs_fewer_steps(monkeypatch):
     step = algorithms.Driver.step
     monkeypatch.setattr(algorithms.Driver, "step", lambda self, *a:
                         steps.append(np.size(self.h.alpha)) or step(self, *a))
+    # the alphas of each _run call
+    calls = []
+    run = harness._run
+    monkeypatch.setattr(harness, "_run", lambda cfg, hypers, *a:
+                        calls.append([h.alpha for h in hypers])
+                        or run(cfg, hypers, *a))
     cfg = _method_cfg("led", num_runs=3, rounds=60)
     grids = {"led": list(PRUNE_GRID)}
     full, _ = _compare(monkeypatch, [cfg], PRUNE_TARGET, grids, prune=False)
     full_steps = sum(steps)
+    # one call steps the whole grid, largest alpha first
+    assert calls == [sorted(PRUNE_GRID, reverse=True)]
     steps.clear()
-    alphas = []
-    run = harness.run_experiment
-    monkeypatch.setattr(harness, "run_experiment", lambda cfg, **k:
-                        alphas.append(cfg.hyper.alpha) or run(cfg, **k))
+    calls.clear()
     assert compare([cfg], PRUNE_TARGET, grids=grids) == full
     assert 0 < sum(steps) < full_steps
-    assert alphas == sorted(PRUNE_GRID, reverse=True)  # largest alpha first
+    # one call per point, largest alpha first
+    assert calls == [[a] for a in sorted(PRUNE_GRID, reverse=True)]
 
 
 def test_tune_never_prunes_by_default():
