@@ -6,9 +6,14 @@ single dense matrix product W @ X.  Stochastic gradients are drawn from
 path-addressed streams so two methods fed the same stream see the same noise,
 which is what the equivalence tests rely on.
 
-Every METHODS entry also steps G states stacked as (G, N, m), with alpha a
-(G, 1, 1) array and one noise draw for all of them: node means run over axis
--2, and each slice comes out bitwise as its state stepped alone.
+Every METHODS entry also steps a batch of L lanes, states stacked as
+(L, N, m) and alpha an (L, 1, 1) array; the harness makes a lane of each
+(grid point, run) pair.  Draws are per run: a plain stream's (N, m) draw
+serves every lane, and a RunStreams gives each lane its run's draw, stacked
+on the lane axis.  scaffnew then flips its coin per lane too, and picks each
+lane's mixed or skipped update with np.where.  Node means run over axis -2,
+and each lane comes out bitwise as its state stepped alone on its run's
+stream.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ class HyperParams:
     eta_pd the relaxation of the primal-dual single-step method; gamma the
     server/global stepsize of the server-workers variants.
 
-    The harness steps a grid of points at once through one instance whose
-    alpha is the (G, 1, 1) array of the points' stepsizes, set without
-    validation after each point was validated on its own.
+    The harness steps a batch of lanes at once through one instance whose
+    alpha is the (L, 1, 1) array of the lanes' stepsizes, set without
+    validation after each grid point was validated on its own.
     """
 
     alpha: float = 0.1
@@ -275,18 +280,21 @@ def scaffnew_round(state: ScaffnewState, problem: Problem, w: MixingMatrix,
     else:
         if stream is None:
             raise ValueError("p < 1 requires a stream for the coin flip")
+        # a bool, or one per lane of a lane batch
         communicate = stream.child("comm").uniform() < p
-    if communicate:
+    x_new, z_new = phi, state.z
+    if np.any(communicate):
         mixed = w.w @ phi
         x_new = (1.0 - mix_weight) * phi + mix_weight * mixed
         z_new = state.z + (p / alpha) * (phi - x_new)
-        vectors = 1
-    else:
-        x_new = phi
-        z_new = state.z
-        vectors = 0
+        if np.ndim(communicate):
+            # lane by lane: a lane whose coin says skip keeps phi and z
+            lane = communicate[:, None, None]
+            x_new = np.where(lane, x_new, phi)
+            z_new = np.where(lane, z_new, state.z)
     new = ScaffnewState(x_new, z_new)
-    return RoundOutput(new, g.mean(axis=-2, keepdims=True), vectors)
+    # 1 or 0 per lane
+    return RoundOutput(new, g.mean(axis=-2, keepdims=True), 1 * communicate)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +388,7 @@ def _gated_round(state: GateState, problem: Problem, alpha: float,
     start = np.broadcast_to(x, state.y.shape).copy()
     phi, ledger = _local_pass(problem, start, pull, alpha, tau, stream)
     phi_bar = phi.mean(axis=-2, keepdims=True)
-    # on the node axis, so that a (G, 1, 1) mix meets x row by row
+    # on the node axis, so that an (L, 1, 1) mix meets x row by row
     x_new = ((1.0 - mix) * x + mix * phi_bar)[..., 0, :]
     y_new = state.y + (phi - phi_bar)
     return RoundOutput(GateState(x_new, y_new), ledger, 1)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .algorithms import Driver, HyperParams, method
 from .problems import Problem
-from .rng import RngStream
+from .rng import RngStream, RunStreams
 from .topology import MixingMatrix
 
 DIVERGENCE_LIMIT = 1e12
@@ -34,6 +34,17 @@ class ExperimentConfig:
         if self.rounds < 1 or self.num_runs < 1 or self.cadence < 1:
             raise ValueError("rounds, num_runs, and cadence must be >= 1")
         method(self.algorithm, self.mixing)
+        shape = (self.problem.n_nodes, self.problem.dim)
+        if self.mixing.n != shape[0]:
+            raise ValueError(f"mixing has {self.mixing.n} nodes, the problem "
+                             f"{shape[0]}")
+        if self.x0 is not None:
+            # a stray leading axis would step as a batch
+            x0 = np.asarray(self.x0, dtype=float)
+            if x0.shape != shape:
+                raise ValueError(f"x0 must have shape {shape}, got {x0.shape}")
+            if not np.isfinite(x0).all():
+                raise ValueError("x0 must be finite")
 
     def initial_positions(self) -> np.ndarray:
         if self.x0 is not None:
@@ -84,114 +95,194 @@ def _with_alpha(hyper: HyperParams, alpha) -> HyperParams:
     return hyper
 
 
-def _run_share(cfg: ExperimentConfig, hypers: list, runs: range,
+# The lanes of one batch after a share's first run hold at most this many
+# bytes of their largest temporary, Problem.point_bytes() per lane
+LANE_BYTES = 8 << 20
+
+
+def _streams(seed: int, runs: np.ndarray) -> RngStream:
+    """The stream of lanes whose runs are `runs`, in ascending order: that
+    run's own stream when there is one run, else a RunStreams drawing once
+    per run."""
+    # Python ints: run indices enter the stream keys through their repr
+    distinct = tuple(dict.fromkeys(map(int, runs)))
+    if len(distinct) == 1:
+        return RngStream(seed).child("run", distinct[0])
+    return RunStreams(seed, distinct, None if len(distinct) == len(runs)
+                      else np.searchsorted(distinct, runs))
+
+
+def _known_above(g, done: float, num_runs: int, target: float) -> bool:
+    """Whether a slot's run average of grad_norm_sq is known to exceed target,
+    from the finished runs' sum `done` and the live lanes' g (a float, or
+    one per lane in run order).  Errors are >= 0 and the average adds every
+    run's value in run order, so done plus g in run order is at most its
+    sum, rounding included; identical runs average to themselves, hence the
+    check of g alone."""
+    if np.ndim(g) == 0:
+        return g > target and (done + g) / num_runs > target
+    # cumsum adds in order
+    return (g.max() > target
+            and np.cumsum(np.append(done, g))[-1] / num_runs > target)
+
+
+def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
+               runs: np.ndarray, sums: np.ndarray,
                prune_at: Optional[tuple]) -> Optional[list]:
-    """Runs the seeded runs `runs` one after another and returns, for each
-    point of `hypers`, its runs' metrics blocks: one column per recorded
-    round and one row per Trace metric (grad_norm_sq, consensus_err, fgap,
-    vectors_per_link, dist_to_opt_sq; NaN where undefined).  A point whose
-    metric leaves the finite range stops there, so its block is narrower.
+    """Runs lane k, grid point points[k] in run runs[k], for every k, and
+    returns each lane's metrics block; None once pruned (see _run_share).
 
-    One point runs alone, with scalar alpha and (N, m) states.  Several,
-    which differ in alpha only, run in lockstep as one batch: alpha is a
-    (G, 1, 1) array, states are (G, N, m), and each noise draw serves every
-    point.  Every operation acts on each slice as on a lone run, so a point's
-    blocks are bitwise those it gets alone.  A point that stops leaves the
-    batch.
-
-    prune_at=(target, r), for one point only, returns None at the first
-    recorded round >= r where a run's grad_norm_sq g and (the share's
-    finished runs' sums + g) / num_runs both exceed target.  Errors are >= 0
-    and the average adds every run's value in run order, so that sum is at
-    most the average, rounding included; identical runs average to
-    themselves, hence the check of g alone.  A cut may be missed but is never
-    wrong.
-
-    Metrics use exact gradients of the running state; the dual/stochastic
-    machinery only affects the trajectory.
+    One lane runs alone, with scalar alpha and (N, m) states.  Several run
+    as one batch: alpha is an (L, 1, 1) array, states are (L, N, m), and
+    each noise draw of a run serves its lanes.  A lane whose metric leaves
+    the finite range stops there, and leaves the batch.
     """
     problem = cfg.problem
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
     target, incumbent = prune_at or (math.inf, math.inf)
     first = bisect.bisect_left(recorded, incumbent)
-    sums = np.zeros(len(recorded))
-    x0, hyper = cfg.initial_positions(), hypers[0]
-    batched = len(hypers) > 1
+    x0, hyper = cfg.initial_positions(), hypers[points[0]]
+    batched = len(points) > 1
     if batched:
-        x0 = np.stack([x0] * len(hypers))
-        hyper = _with_alpha(hyper, np.array([h.alpha for h in hypers])[:, None, None])
+        x0 = np.stack([x0] * len(points))
+        hyper = _with_alpha(hyper, np.array([hypers[k].alpha
+                                             for k in points])[:, None, None])
+    driver = Driver(cfg.algorithm, problem, cfg.mixing, hyper)
+    state = driver.init(x0)
+    stream = _streams(cfg.base_seed, runs)
+    block = np.full((len(points), 5, len(recorded)), np.nan)
+    width = np.full(len(points), len(recorded))
+    # the lanes still in the batch; a slice writes faster than indices
+    live = slice(None)
+    # a vector count, or one per lane when runs skip links at random
+    cum_vectors = 0
+    done = 0
+    for slot, until in enumerate(recorded):
+        for r in range(done, until):
+            out = driver.step(state, stream.child("round", r))
+            state = out.state
+            cum_vectors += out.vectors_per_link
+        done = until
+        xmat = driver.positions(state)
+        # add.reduce is what mean and sum call, without their dispatch
+        xbar = np.add.reduce(xmat, axis=-2) / problem.n_nodes
+        g = problem.global_grad_norm_sq(xbar)
+        finite = g <= DIVERGENCE_LIMIT   # False for inf and NaN
+        if not (finite.all() if batched else finite):
+            if not np.any(finite):
+                width[live] = slot
+                break
+            live = np.arange(len(points))[live]
+            width[live[~finite]] = slot
+            live, xmat, xbar, g = (a[finite] for a in (live, xmat, xbar, g))
+            state = type(state)(*(getattr(state, f.name)[finite]
+                                  for f in fields(state)))
+            driver.h = _with_alpha(driver.h, driver.h.alpha[finite])
+            stream = _streams(cfg.base_seed, runs[live])
+            if np.ndim(cum_vectors):
+                cum_vectors = cum_vectors[finite]
+        dev = xmat - xbar[..., None, :]
+        block[live, 0, slot] = g
+        block[live, 1, slot] = (np.add.reduce(dev * dev, axis=(-2, -1))
+                                / problem.n_nodes)
+        block[live, 3, slot] = cum_vectors
+        if problem.f_star is not None:
+            block[live, 2, slot] = problem.mean_value(xbar) - problem.f_star
+        if problem.x_star is not None:
+            err = xbar - problem.x_star
+            block[live, 4, slot] = np.add.reduce(err * err, axis=-1)
+        if slot >= first and _known_above(g, sums[slot], cfg.num_runs, target):
+            return None
+    return [block[k, :, :n] for k, n in enumerate(width)]
+
+
+def _run_share(cfg: ExperimentConfig, hypers: list, runs: range,
+               prune_at: Optional[tuple]) -> Optional[list]:
+    """Runs the seeded runs `runs` and returns, for each point of `hypers`,
+    its runs' metrics blocks in run order: one column per recorded round and
+    one row per Trace metric (grad_norm_sq, consensus_err, fgap,
+    vectors_per_link, dist_to_opt_sq; NaN where undefined).  A block whose
+    metric leaves the finite range stops there, so it is narrower.
+
+    The points differ in alpha only.  A lane is one (point, run) pair, and
+    _run_lanes steps a batch of lanes in lockstep.  The share's first run
+    goes first, its points as one batch (or alone, for one point); then the
+    other runs × points go as batches of lanes, run-major, at most
+    LANE_BYTES // point_bytes() lanes each.  Each run keeps its own noise
+    draws, keyed (run, round, step), which the lanes of that run share, and
+    every operation acts on each lane as on a lone run: so each block is
+    bitwise the one its run gets alone, for any batching.
+
+    prune_at=(target, r), for one point only, returns None at the first
+    recorded round >= r where the share's finished runs' sums plus the live
+    lanes' grad_norm_sq show the run average above target, and some live
+    lane's own value exceeds it.  A cut may be missed but is never wrong.
+    Running the first run alone keeps its early cut, which a batch of all
+    the runs would reach later.
+
+    Metrics use exact gradients of the running state; the dual/stochastic
+    machinery only affects the trajectory.
+    """
+    sums = np.zeros(len(_recorded_rounds(cfg.rounds, cfg.cadence)))
+    lanes = [(k, run) for run in runs[1:] for k in range(len(hypers))]
+    per_batch = max(1, LANE_BYTES // cfg.problem.point_bytes())
+    batches = [[(k, runs[0]) for k in range(len(hypers))]]
+    batches += [lanes[i:i + per_batch] for i in range(0, len(lanes), per_batch)]
     blocks = [[] for _ in hypers]
-    for run in runs:
-        driver = Driver(cfg.algorithm, problem, cfg.mixing, hyper)
-        state = driver.init(x0)
-        run_stream = RngStream(cfg.base_seed).child("run", run)
-        block = np.full((len(hypers), 5, len(recorded)), np.nan)
-        width = np.full(len(hypers), len(recorded))
-        # the points still in the batch; a slice writes faster than indices
-        live = slice(None)
-        cum_vectors = 0
-        done = 0
-        for slot, until in enumerate(recorded):
-            for r in range(done, until):
-                out = driver.step(state, run_stream.child("round", r))
-                state = out.state
-                cum_vectors += out.vectors_per_link
-            done = until
-            xmat = driver.positions(state)
-            # add.reduce is what mean and sum call, without their dispatch
-            xbar = np.add.reduce(xmat, axis=-2) / problem.n_nodes
-            g = problem.global_grad_norm_sq(xbar)
-            finite = g <= DIVERGENCE_LIMIT   # False for inf and NaN
-            if not (finite.all() if batched else finite):
-                if not np.any(finite):
-                    width[live] = slot
-                    break
-                live = np.arange(len(hypers))[live]
-                width[live[~finite]] = slot
-                live, xmat, xbar, g = (a[finite] for a in (live, xmat, xbar, g))
-                state = type(state)(*(getattr(state, f.name)[finite]
-                                      for f in fields(state)))
-                driver.h = _with_alpha(driver.h, driver.h.alpha[finite])
-            dev = xmat - xbar[..., None, :]
-            block[live, 0, slot] = g
-            block[live, 1, slot] = (np.add.reduce(dev * dev, axis=(-2, -1))
-                                    / problem.n_nodes)
-            block[live, 3, slot] = cum_vectors
-            if problem.f_star is not None:
-                block[live, 2, slot] = problem.mean_value(xbar) - problem.f_star
-            if problem.x_star is not None:
-                err = xbar - problem.x_star
-                block[live, 4, slot] = np.add.reduce(err * err, axis=-1)
-            if (slot >= first and g > target
-                    and (sums[slot] + g) / cfg.num_runs > target):
-                return None
-        for k, n in enumerate(width):
-            blocks[k].append(block[k, :, :n])
-        sums[:width[0]] += block[0, 0, :width[0]]
+    for batch in batches:
+        points, lane_runs = map(np.array, zip(*batch))
+        out = _run_lanes(cfg, hypers, points, lane_runs, sums, prune_at)
+        if out is None:
+            return None
+        for k, block in zip(points, out):
+            blocks[k].append(block)
+            if k == 0:
+                sums[:block.shape[1]] += block[0]
     return blocks
 
 
-def _run(cfg: ExperimentConfig, hypers: list, jobs: int,
+class _Pool:
+    """The workers of one run_experiment or tune_to_target call on cfg:
+    min(jobs, num_runs) of them, in one process pool started when first
+    needed, or this process alone."""
+
+    def __init__(self, cfg: ExperimentConfig, jobs: int):
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        self.jobs = min(jobs, cfg.num_runs)
+        self._executor = None
+
+    def map(self, *args):
+        if self._executor is None:
+            # imported here: concurrent.futures.process adds about 2 MB to
+            # every process that imports ledsim, and most runs never start one
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        return self._executor.map(*args)
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown()
+
+
+def _run(cfg: ExperimentConfig, hypers: list, pool: _Pool,
          prune_at: Optional[tuple] = None) -> Optional[list]:
     """Every point's runs' metrics blocks in run order, from one _run_share
-    per contiguous share of the runs, min(jobs, num_runs) shares in all;
-    None once pruned."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    k = min(jobs, cfg.num_runs)
+    per contiguous share of the runs, pool.jobs shares in all; None once
+    pruned."""
+    k = pool.jobs
     # Python ints: run indices enter the stream keys through their repr
     shares = [range(i * cfg.num_runs // k, (i + 1) * cfg.num_runs // k)
               for i in range(k)]
     if k == 1:
         per_share = [_run_share(cfg, hypers, shares[0], prune_at)]
     else:
-        # imported here: concurrent.futures.process adds about 2 MB to every
-        # process that imports ledsim, and most runs never start a pool
-        from concurrent.futures import ProcessPoolExecutor
         # one task per worker, so each receives the config once
-        with ProcessPoolExecutor(max_workers=k) as pool:
-            per_share = list(pool.map(_run_share, [cfg] * k, [hypers] * k,
-                                      shares, [prune_at] * k))
+        per_share = list(pool.map(_run_share, [cfg] * k, [hypers] * k,
+                                  shares, [prune_at] * k))
     if any(blocks is None for blocks in per_share):
         return None
     return [[block for blocks in per_share for block in blocks[i]]
@@ -232,7 +323,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
     round and flags the result.  The runs split into min(jobs, num_runs)
     contiguous shares, each run in order by one process.
     """
-    return _trace(cfg, _run(cfg, [cfg.hyper], jobs)[0])
+    with _Pool(cfg, jobs) as pool:
+        return _trace(cfg, _run(cfg, [cfg.hyper], pool)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +370,13 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     round budget is a valid (reported) outcome, as is divergence.
 
     The points are reported in grid order and run largest alpha first.  With
-    prune=False they all run as one group, in lockstep on a shared noise draw
-    (one pool for jobs > 1); each point's trace is bitwise that of
-    run_experiment.  With prune=True each point is a group of its own, which
-    stops, reported as pruned, once its averaged error is known to exceed the
-    target at a recorded round >= the best point's rounds-to-target: it can
-    then neither win nor tie.  best and best_trace are those of prune=False.
+    prune=False they all run as one group, in lockstep on shared noise draws;
+    each point's trace is bitwise that of run_experiment.  With prune=True
+    each point is a group of its own, which stops, reported as pruned, once
+    its averaged error is known to exceed the target at a recorded round >=
+    the best point's rounds-to-target: it can then neither win nor tie.
+    best and best_trace are those of prune=False.  For jobs > 1 every group
+    runs on one process pool.
     """
     if not target >= 0:
         raise ValueError(f"target must be >= 0, got {target!r}")
@@ -299,23 +392,24 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     # largest alpha first: the incumbent's round drops early, so pruning cuts
     # sooner, and a later point that ties it has the smaller alpha
     order = sorted(range(len(hypers)), key=lambda i: -hypers[i].alpha)
-    for group in [[i] for i in order] if prune else [order]:
-        prune_at = None if best[0] is None else (target, best[0])
-        blocks = _run(cfg, [hypers[i] for i in group], jobs, prune_at)
-        for k, i in enumerate(group):
-            hp = hypers[i]
-            if blocks is None:
-                points[i] = GridPoint(hp.alpha, None, False, pruned=True)
-                continue
-            try:
-                trace = _trace(cfg, blocks[k])
-            except _Diverged:
-                points[i] = GridPoint(hp.alpha, None, True)
-                continue
-            rtt = None if trace.diverged else trace.rounds_to_target(target)
-            points[i] = GridPoint(hp.alpha, rtt, trace.diverged)
-            if rtt is not None and (best[0] is None or rtt < best[0]):
-                best = (rtt, hp, trace)
+    with _Pool(cfg, jobs) as pool:
+        for group in [[i] for i in order] if prune else [order]:
+            prune_at = None if best[0] is None else (target, best[0])
+            blocks = _run(cfg, [hypers[i] for i in group], pool, prune_at)
+            for k, i in enumerate(group):
+                hp = hypers[i]
+                if blocks is None:
+                    points[i] = GridPoint(hp.alpha, None, False, pruned=True)
+                    continue
+                try:
+                    trace = _trace(cfg, blocks[k])
+                except _Diverged:
+                    points[i] = GridPoint(hp.alpha, None, True)
+                    continue
+                rtt = None if trace.diverged else trace.rounds_to_target(target)
+                points[i] = GridPoint(hp.alpha, rtt, trace.diverged)
+                if rtt is not None and (best[0] is None or rtt < best[0]):
+                    best = (rtt, hp, trace)
     return TuneResult(best=best[1], points=tuple(points), target=target,
                       best_trace=best[2])
 

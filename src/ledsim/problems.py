@@ -101,9 +101,9 @@ class Problem:
         return sum(self.value(i, x) for i in range(self.n_nodes)) / self.n_nodes
 
     def sampled_grads(self, x_nodes: np.ndarray, stream: RngStream | None) -> np.ndarray:
-        """grads plus iid N(0, sigma^2) noise, one (N, m) draw per call that
-        every batch slice shares; with sigma == 0 it is grads(x_nodes) bit
-        for bit."""
+        """grads plus iid N(0, sigma^2) noise: one (N, m) draw per call that
+        every batch slice shares, or one per lane from a RunStreams; with
+        sigma == 0 it is grads(x_nodes) bit for bit."""
         g = self.grads(x_nodes)
         if self.sigma > 0:
             if stream is None:
@@ -126,6 +126,10 @@ class Problem:
 
     def lipschitz(self) -> float:
         raise NotImplementedError
+
+    def point_bytes(self) -> int:
+        """Bytes of the largest temporary that grads builds per (N, m) point."""
+        return 8 * self.n_nodes * self.dim
 
 
 class LogisticProblem(Problem):
@@ -182,6 +186,10 @@ class LogisticProblem(Problem):
         loss = (self._zt @ s[..., None])[..., 0] / -self._zt.shape[2]
         reg = self.reg * 2.0 * x_nodes / (1.0 + x_nodes * x_nodes) ** 2
         return loss + reg
+
+    def point_bytes(self) -> int:
+        # the (N, S) margins
+        return 8 * self._zt.shape[0] * self._zt.shape[2]
 
     def lipschitz(self) -> float:
         """Smoothness bound: logistic term (1/4S) lam_max(H_i^T H_i), plus the

@@ -35,6 +35,11 @@ def _shared_generator() -> tuple:
     return np.random.Generator(np.random.Philox(0)), state, memoryview(key).cast("B")
 
 
+def _digest(seed: int, path: tuple) -> bytes:
+    """The 16 key bytes: the first 16 of sha256(repr((seed, path)))."""
+    return hashlib.sha256(repr((seed, path)).encode()).digest()[:16]
+
+
 class RngStream:
     """A deterministic random stream addressed by a seed and a label path."""
 
@@ -48,10 +53,6 @@ class RngStream:
         """Derive a sub-stream by extending the path."""
         return RngStream(self.seed, self.path + labels)
 
-    def _digest(self) -> bytes:
-        """The 16 key bytes: the first 16 of sha256(repr((seed, path)))."""
-        return hashlib.sha256(repr((self.seed, self.path)).encode()).digest()[:16]
-
     def generator(self) -> np.random.Generator:
         """A fresh Generator keyed by sha256(seed, path).
 
@@ -59,12 +60,12 @@ class RngStream:
         the stream is a pure address, not a stateful source.
         """
         return np.random.Generator(np.random.Philox(
-            key=np.frombuffer(self._digest(), dtype=np.uint64)))
+            key=np.frombuffer(_digest(self.seed, self.path), dtype=np.uint64)))
 
     def _rekeyed(self) -> np.random.Generator:
         """The shared Generator, reset to the state generator() starts in."""
         gen, state, key_bytes = _shared_generator()
-        key_bytes[:] = self._digest()
+        key_bytes[:] = _digest(self.seed, self.path)
         gen.bit_generator.state = state
         return gen
 
@@ -83,3 +84,55 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"
+
+
+class RunStreams(RngStream):
+    """The streams RngStream(seed).child("run", r) of several runs, stepped as
+    one stream with a leading lane axis.
+
+    runs holds the distinct runs as Python ints (they enter the keys through
+    their repr); lanes maps each lane to its run's index in runs, or is None
+    for one lane per run.  normal() and uniform() draw once per run, each
+    draw bitwise the one that run's own stream makes, and return the draws
+    gathered to the lanes, stacked on axis 0: the lanes of one run share its
+    draw.  child() extends the path below ("run", r).
+    """
+
+    __slots__ = ("runs", "lanes")
+
+    def __init__(self, seed: int, runs: tuple, lanes=None, path: tuple = ()):
+        super().__init__(seed, path)
+        self.runs = runs
+        self.lanes = lanes
+
+    def child(self, *labels) -> "RunStreams":
+        return RunStreams(self.seed, self.runs, self.lanes, self.path + labels)
+
+    def _draws(self, method: str, size) -> np.ndarray:
+        """The Generator method `method` once per run, rekeyed to the run's
+        stream and filling its (size)-shaped slot, gathered to the lanes."""
+        gen, state, key_bytes = _shared_generator()
+        draw = getattr(gen, method)
+        shape = (1,) if size is None else tuple(np.atleast_1d(size))
+        out = np.empty((len(self.runs),) + shape)
+        for k, run in enumerate(self.runs):
+            key_bytes[:] = _digest(self.seed, ("run", run) + self.path)
+            gen.bit_generator.state = state
+            draw(out=out[k])
+        if size is None:
+            out = out[:, 0]
+        return out if self.lanes is None else out[self.lanes]
+
+    def normal(self, size, scale: float = 1.0) -> np.ndarray:
+        out = self._draws("standard_normal", size)
+        if scale != 1.0:
+            out *= scale
+        return out
+
+    def uniform(self, size=None) -> np.ndarray:
+        """One uniform per lane when size is None, else a (size) block each."""
+        return self._draws("random", size)
+
+    def __repr__(self) -> str:
+        return (f"RunStreams(seed={self.seed}, runs={self.runs}, "
+                f"path={self.path})")

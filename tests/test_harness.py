@@ -7,6 +7,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ledsim import (ExperimentConfig, HyperParams, QuadraticProblem,
                     complete_mixing, metropolis_weights, build_graph,
@@ -158,6 +160,24 @@ def test_config_validation():
     for algo in ("bogus", "ed", "uda_ed"):
         with pytest.raises(ValueError, match=f"unknown algorithm '{algo}'"):
             _cfg(algorithm=algo)
+
+
+@pytest.mark.parametrize("x0,message", [
+    (np.zeros((2, 6, 3)), r"x0 must have shape \(6, 3\), got \(2, 6, 3\)"),
+    (np.zeros(3), r"x0 must have shape \(6, 3\), got \(3,\)"),
+    (np.zeros((1, 3)), r"x0 must have shape \(6, 3\), got \(1, 3\)"),
+    (np.full((6, 3), np.nan), "x0 must be finite"),
+    (np.full((6, 3), -np.inf), "x0 must be finite"),
+])
+def test_config_rejects_a_bad_x0(x0, message):
+    for algo in ("led", "local_dsgd"):
+        with pytest.raises(ValueError, match=message):
+            _cfg(algorithm=algo, x0=x0)
+
+
+def test_config_rejects_a_mixing_of_another_size():
+    with pytest.raises(ValueError, match="mixing has 5 nodes, the problem 6"):
+        _cfg(mixing=metropolis_weights(build_graph("ring", 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +613,15 @@ def test_unpruned_tune_starts_one_pool(monkeypatch):
     res = tune_to_target(cfg, PRUNE_TARGET, alphas=PRUNE_GRID[:5], jobs=2)
     assert len(res.points) == 5
     assert len(pools) == 1
+    # a pruned compare runs one group per grid point, all on one pool per
+    # config; the rows are those of jobs=1
+    pools.clear()
+    cfgs = [_method_cfg(a, num_runs=4, rounds=60) for a in ("led", "kgt")]
+    grids = {a: PRUNE_GRID for a in ("led", "kgt")}
+    rows, tunes = _compare(monkeypatch, cfgs, PRUNE_TARGET, grids, jobs=2)
+    assert rows == compare(cfgs, PRUNE_TARGET, grids=grids)
+    assert all(len(t.points) == len(PRUNE_GRID) for t in tunes)
+    assert 1 <= len(pools) <= len(cfgs)
 
 
 def test_tune_raises_a_runtime_error_from_a_step(monkeypatch):
@@ -603,6 +632,133 @@ def test_tune_raises_a_runtime_error_from_a_step(monkeypatch):
     monkeypatch.setattr(algorithms.Driver, "step", fail)
     with pytest.raises(RuntimeError, match="step failed"):
         tune_to_target(_cfg(), 1e-4, alphas=[0.1])
+
+
+# ---------------------------------------------------------------------------
+# the run axis: a share's runs after its first step as one batch of lanes
+# ---------------------------------------------------------------------------
+
+def _assert_runs_equal_solo_runs(cfg, alphas, jobs=1):
+    """Every run's metrics block, as _run returns it for the grid `alphas`,
+    is bitwise the block its run gets from a share of its own; returns the
+    blocks."""
+    hypers = [replace(cfg.hyper, alpha=a) for a in alphas]
+    with harness._Pool(cfg, jobs) as pool:
+        blocks = harness._run(cfg, hypers, pool)
+    for run in range(cfg.num_runs):
+        solo = harness._run_share(cfg, hypers, range(run, run + 1), None)
+        for k in range(len(hypers)):
+            got, want = blocks[k][run], solo[k][0]
+            label = (cfg.algorithm, cfg.num_runs, jobs, run, alphas[k])
+            assert got.shape == want.shape, label
+            assert got.tobytes() == want.tobytes(), label
+    return blocks
+
+
+# every method on the ring where it may run there, and on the complete graph
+_METHOD_GRAPHS = [(algo, graph) for algo, spec in METHODS.items()
+                  for graph in ("ring", "complete")
+                  if graph == "complete" or not spec.centralized]
+
+
+@settings(max_examples=40, deadline=None)
+@given(method_graph=st.sampled_from(_METHOD_GRAPHS),
+       num_runs=st.integers(1, 6), jobs=st.sampled_from([1, 2, 3]),
+       alphas=st.sampled_from([(0.1,), (0.3, 0.1, 0.05)]),
+       cadence=st.integers(1, 3), base_seed=st.integers(0, 3))
+def test_batched_runs_equal_solo_runs(method_graph, num_runs, jobs, alphas,
+                                      cadence, base_seed):
+    algo, graph = method_graph
+    mixing = (complete_mixing(6) if graph == "complete"
+              else metropolis_weights(build_graph("ring", 6)))
+    cfg = _method_cfg(algo, mixing=mixing, num_runs=num_runs, rounds=12,
+                      cadence=cadence, base_seed=base_seed)
+    _assert_runs_equal_solo_runs(cfg, alphas, jobs)
+
+
+def test_batched_runs_keep_their_own_coins():
+    # scaffnew at p = 0.5 flips one coin per run and round, so the runs of a
+    # batch skip different rounds and their vector ledgers part
+    cfg = _method_cfg("scaffnew", num_runs=5, rounds=30)
+    for alphas in ((0.1,), (0.2, 0.1, 0.05)):
+        blocks = _assert_runs_equal_solo_runs(cfg, alphas)
+        ledgers = {block[3].tobytes() for block in blocks[0]}
+        assert len(ledgers) == cfg.num_runs, alphas
+
+
+@pytest.mark.parametrize("algo,unstable", [("led", 2.0), ("scaffnew", 2.2)])
+def test_batched_runs_leave_the_batch_at_their_own_round(algo, unstable):
+    # the unstable alpha diverges on this noisy quadratic, each run at the
+    # round its own noise sets, and 0.1 stays finite; scaffnew's runs also
+    # carry their own vector ledgers out of the batch
+    prob = quadratic_problem(6, 3, mu=0.3, lip=1.0, heterogeneity=1.0,
+                             seed=5, sigma=5.0)
+    cfg = _cfg(algorithm=algo, problem=prob, num_runs=6, rounds=120,
+               hyper=HyperParams(alpha=0.1, tau=2, p=0.5))
+    for alphas in ((unstable,), (unstable, 0.1, unstable + 0.2)):
+        blocks = _assert_runs_equal_solo_runs(cfg, alphas)
+        widths = [block.shape[1] for block in blocks[0]]
+        assert len(set(widths)) > 2 and max(widths) < 121, widths
+        for k, alpha in enumerate(alphas):
+            if alpha == 0.1:
+                assert all(block.shape[1] == 121 for block in blocks[k])
+
+
+def test_batched_runs_start_from_x0():
+    x0 = np.random.default_rng(11).normal(size=(6, 3))
+    for algo in ("led", "scaffold"):
+        cfg = _method_cfg(algo, num_runs=4, rounds=15, x0=x0)
+        blocks = _assert_runs_equal_solo_runs(cfg, (0.2, 0.1))
+        start = harness._run_share(replace(cfg, x0=None), [cfg.hyper],
+                                   range(1), None)[0][0]
+        assert blocks[0][0][0, 0] != start[0, 0], algo
+
+
+def test_lane_batches_chunk_under_the_byte_cap(monkeypatch):
+    # two lanes per batch: the 3 points x 4 later runs of a 5-run share go
+    # as six batches of two
+    cfg = _method_cfg("led", num_runs=5, rounds=20)
+    sizes = []
+    run_lanes = harness._run_lanes
+    monkeypatch.setattr(harness, "_run_lanes", lambda cfg, hypers, points, *a:
+                        sizes.append(len(points))
+                        or run_lanes(cfg, hypers, points, *a))
+    monkeypatch.setattr(harness, "LANE_BYTES", 2 * cfg.problem.point_bytes())
+    _assert_runs_equal_solo_runs(cfg, (0.3, 0.1, 0.05))
+    assert sizes[:7] == [3, 2, 2, 2, 2, 2, 2]
+    sizes.clear()
+    monkeypatch.setattr(harness, "LANE_BYTES", 1 << 30)
+    _assert_runs_equal_solo_runs(cfg, (0.3, 0.1, 0.05))
+    assert sizes[:2] == [3, 12]
+    # a logistic lane's largest temporary is its (N, S) margins
+    logistic = synth_logistic(SynthConfig(), seed=1)
+    assert logistic.point_bytes() == 8 * 15 * 1000
+
+
+def test_pruned_compare_cuts_inside_a_lane_batch(monkeypatch):
+    # three runs: the first alone, then two as one batch that the cut stops
+    cuts = []
+    run_lanes = harness._run_lanes
+
+    def logged(cfg, hypers, points, *args):
+        out = run_lanes(cfg, hypers, points, *args)
+        cuts.append((len(points), out is None))
+        return out
+
+    monkeypatch.setattr(harness, "_run_lanes", logged)
+    # near the noise floor, where a first run below the target can be
+    # followed by runs that lift the average above it
+    grid = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.6)
+    for algo in ("led", "kgt", "scaffnew"):
+        cfg = _method_cfg(algo, num_runs=3, rounds=60)
+        grids = {algo: grid}
+        full, (full_tune,) = _compare(monkeypatch, [cfg], 1.78e-3, grids,
+                                      prune=False)
+        cuts.clear()
+        rows, (tune,) = _compare(monkeypatch, [cfg], 1.78e-3, grids)
+        assert pickle.dumps(rows) == pickle.dumps(full), algo
+        _assert_prune_exact(tune, full_tune, algo)
+        assert (2, True) in cuts, algo
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledsim import RngStream
+from ledsim.rng import RunStreams
 
 _labels = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.text(max_size=8))
 
@@ -77,3 +78,27 @@ def test_draws_equal_fresh_generator_draws(seed, path, size, scale):
     fresh.standard_normal(size)
     assert np.array_equal(held.standard_normal(size), fresh.standard_normal(size))
     assert held.random() == fresh.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 63), path=st.lists(_labels, max_size=4),
+       lane_runs=st.lists(st.integers(0, 6), min_size=1, max_size=8).map(sorted),
+       size=st.one_of(st.integers(0, 12),
+                      st.tuples(st.integers(1, 5), st.integers(1, 4))),
+       scale=st.sampled_from([1.0, 0.5]))
+def test_run_streams_draw_each_run_as_its_own_stream(seed, path, lane_runs,
+                                                     size, scale):
+    runs, lanes = np.unique(lane_runs, return_inverse=True)
+    runs = tuple(map(int, runs))
+    gather = None if len(runs) == len(lane_runs) else lanes
+    streams = RunStreams(seed, runs, gather).child(*path)
+    assert streams.path == tuple(path)
+    normal, uniform = streams.normal(size, scale), streams.uniform()
+    blocks = streams.uniform(size)
+    assert normal.shape == (len(lane_runs),) + np.shape(np.empty(size))
+    assert uniform.shape == (len(lane_runs),)
+    for lane, run in enumerate(lane_runs):
+        own = RngStream(seed).child("run", run, *path)
+        assert normal[lane].tobytes() == own.normal(size, scale).tobytes()
+        assert uniform[lane] == own.uniform()
+        assert blocks[lane].tobytes() == own.uniform(size).tobytes()
