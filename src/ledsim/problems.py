@@ -259,10 +259,14 @@ class QuadraticProblem(Problem):
 
     def _mean_value(self, x: np.ndarray) -> float:
         # (1/N) sum_i f_i(x) = 0.5 x^T a_bar x - b_bar^T x, by a gemv and a
-        # dot; a batch goes point by point, so that no gemm rounds it
-        if x.ndim > 1:
-            return np.array([self._mean_value(point) for point in x])
-        return float(0.5 * x @ self.a_bar @ x - self.b_bar @ x)
+        # dot; a batch stacks each point as a (1, m) row and an (m, 1)
+        # column, which matmul takes to the same gemv and dots per point,
+        # never a gemm (x @ b_bar would be a gemv)
+        if x.ndim == 1:
+            return float(0.5 * x @ self.a_bar @ x - self.b_bar @ x)
+        col = x[..., :, None]
+        return ((0.5 * x[..., None, :] @ self.a_bar @ col)[..., 0, 0]
+                - (self.b_bar @ col)[..., 0])
 
     def grads(self, x_nodes: np.ndarray) -> np.ndarray:
         return np.einsum("nij,...nj->...ni", self.a, x_nodes) - self.b

@@ -12,27 +12,38 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import struct
 
 import numpy as np
 
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
+# the 16 key bytes at the head of a sha256 digest as two uint64 Python ints,
+# in the native order np.frombuffer(..., np.uint64) reads them
+_key_words = struct.Struct("=QQ").unpack_from
 
 
 @functools.cache
 def _shared_generator() -> tuple:
     """One Philox Generator, rekeyed before every draw of normal()/uniform(),
-    with its reused state dict and a byte view of that state's key.
+    and rekey(text), which keys it by sha256(text)[:16].
 
     A Philox state is fully set by its key, counter and buffer, so rekeying
     gives the draws of a fresh Philox(key=...) without constructing one (whose
-    unused SeedSequence reads os.urandom); the setter copies the key, so a draw
-    writes only its 16 key bytes.  Created on first use; not safe to share
+    unused SeedSequence reads os.urandom).  The state holds Python ints and
+    tuples, which the state setter reads about 3x faster than uint64 arrays;
+    a rekey replaces only the key.  Created on first use; not safe to share
     across threads (ledsim parallelises with processes).
     """
-    key = np.zeros(2, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
-             "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return np.random.Generator(np.random.Philox(0)), state, memoryview(key).cast("B")
+    gen = np.random.Generator(np.random.Philox(0))
+    bit_generator = gen.bit_generator
+    keyed = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+    state = {"bit_generator": "Philox", "state": keyed, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rekey(text: str) -> None:
+        keyed["key"] = _key_words(hashlib.sha256(text.encode()).digest())
+        bit_generator.state = state
+
+    return gen, rekey
 
 
 def _digest(seed: int, path: tuple) -> bytes:
@@ -64,9 +75,8 @@ class RngStream:
 
     def _rekeyed(self) -> np.random.Generator:
         """The shared Generator, reset to the state generator() starts in."""
-        gen, state, key_bytes = _shared_generator()
-        key_bytes[:] = _digest(self.seed, self.path)
-        gen.bit_generator.state = state
+        gen, rekey = _shared_generator()
+        rekey(repr((self.seed, self.path)))
         return gen
 
     def normal(self, size, scale: float = 1.0) -> np.ndarray:
@@ -95,7 +105,9 @@ class RunStreams(RngStream):
     for one lane per run.  normal() and uniform() draw once per run, each
     draw bitwise the one that run's own stream makes, and return the draws
     gathered to the lanes, stacked on axis 0: the lanes of one run share its
-    draw.  child() extends the path below ("run", r).
+    draw.  A call formats the text its keys hash, repr((seed, ("run", r) +
+    path)), as one head and tail around each run's repr.  child() extends
+    the path below ("run", r).
     """
 
     __slots__ = ("runs", "lanes")
@@ -111,13 +123,15 @@ class RunStreams(RngStream):
     def _draws(self, method: str, size) -> np.ndarray:
         """The Generator method `method` once per run, rekeyed to the run's
         stream and filling its (size)-shaped slot, gathered to the lanes."""
-        gen, state, key_bytes = _shared_generator()
+        gen, rekey = _shared_generator()
         draw = getattr(gen, method)
-        shape = (1,) if size is None else tuple(np.atleast_1d(size))
+        shape = ((1,) if size is None else tuple(size) if np.iterable(size)
+                 else (size,))
         out = np.empty((len(self.runs),) + shape)
+        head = f"({self.seed!r}, ('run', "
+        tail = "".join(", " + repr(label) for label in self.path) + "))"
         for k, run in enumerate(self.runs):
-            key_bytes[:] = _digest(self.seed, ("run", run) + self.path)
-            gen.bit_generator.state = state
+            rekey(f"{head}{run!r}{tail}")
             draw(out=out[k])
         if size is None:
             out = out[:, 0]

@@ -448,6 +448,19 @@ def test_batched_oracles_equal_slice_by_slice(n, dim, batch, seed):
     assert quad.mean_value(xbars).tobytes() == np.array(alone).tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 3, 5, 10])
+@pytest.mark.parametrize("lanes", [1, 2, 9, 10, 33])
+def test_quadratic_mean_value_batch_bitwise_per_point(dim, lanes):
+    # the stacked gemv and dots of a batch round as one point alone does,
+    # at every lane count a run batch can have
+    quad = quadratic_problem(6, dim, mu=0.2, lip=1.0, heterogeneity=1.0,
+                             seed=dim)
+    for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        xbars = scale * RngStream(lanes).child("x", dim).normal((lanes, dim))
+        alone = [float(0.5 * x @ quad.a_bar @ x - quad.b_bar @ x) for x in xbars]
+        assert quad.mean_value(xbars).tobytes() == np.array(alone).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), dim=st.integers(1, 5),
        mu=st.floats(0.01, 1.0), spread=st.floats(1.0, 100.0),

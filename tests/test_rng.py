@@ -102,3 +102,27 @@ def test_run_streams_draw_each_run_as_its_own_stream(seed, path, lane_runs,
         assert normal[lane].tobytes() == own.normal(size, scale).tobytes()
         assert uniform[lane] == own.uniform()
         assert blocks[lane].tobytes() == own.uniform(size).tobytes()
+
+
+# literal keys and draws of the derivation sha256(repr((seed, path)))[:16]:
+# a rewrite that changed the reference and the fast paths alike would still
+# pass the property tests above
+_GOLDEN = [
+    ((), "c0c160aed38b411bc1b27a98d60c75fe",
+     [-0.2996203990993739, -1.854505861901543, 0.9604119651076276]),
+    (("a",), "8d304d4811ce2c295c6faa49b0f787d3",
+     [-0.4543473202646353, -0.6848320781466148, -0.8508008723141887]),
+    (("run", 3, "round", 17, "grad_noise", 1), "ff67f44c3d475383be7f842ee155795b",
+     [-1.0089582665331536, -0.11565165851738175, -1.0702474353989657]),
+]
+
+
+def test_keys_and_draws_equal_golden_values():
+    for path, key, draws in _GOLDEN:
+        s = RngStream(1).child(*path)
+        assert s.generator().bit_generator.state["state"]["key"].tobytes().hex() == key
+        assert s.generator().standard_normal(3).tolist() == draws
+        assert s.normal(3).tolist() == draws
+    assert RunStreams(1, (0, 2)).child("round", 5).normal(2).tolist() == [
+        [-0.9460343955070543, 1.0956079204807818],
+        [-0.7061271059462868, -0.6845708275063936]]
