@@ -9,7 +9,7 @@ which is what the equivalence tests rely on.
 Every METHODS entry also steps a batch of L lanes, states stacked as
 (L, N, m) and alpha an (L, 1, 1) array; the harness makes a lane of each
 (grid point, run) pair.  Draws are per run: a plain stream's (N, m) draw
-serves every lane, and a RunStreams gives each lane its run's draw, stacked
+serves every lane, and a lane stream gives each lane its run's draw, stacked
 on the lane axis.  scaffnew then flips its coin per lane too, and picks each
 lane's mixed or skipped update with np.where.  Node means run over axis -2,
 and each lane comes out bitwise as its state stepped alone on its run's

@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 
 from . import topology as topo
 from .algorithms import HyperParams
-from .harness import (ExperimentConfig, compare, default_alpha_grid,
-                      run_experiment, tune_to_target)
+from .harness import (ExperimentConfig, _Diverged, compare,
+                      default_alpha_grid, run_experiment, tune_to_target)
 from .problems import SynthConfig, quadratic_problem, synth_logistic
 
 
@@ -114,12 +114,16 @@ def _fields(cfg: dict, section: str, cls) -> dict:
 
 
 def build_mixing(cfg: dict) -> topo.MixingMatrix:
-    g = topo.build_graph(
-        _get(cfg, "topology.graph", str), _get(cfg, "topology.n", int),
-        rows=_get(cfg, "topology.rows", int, None),
-        cols=_get(cfg, "topology.cols", int, None),
-        p=_get(cfg, "topology.p", float, None),
-        seed=_get(cfg, "topology.seed", int, 0))
+    try:
+        g = topo.build_graph(
+            _get(cfg, "topology.graph", str), _get(cfg, "topology.n", int),
+            rows=_get(cfg, "topology.rows", int, None),
+            cols=_get(cfg, "topology.cols", int, None),
+            p=_get(cfg, "topology.p", float, None),
+            seed=_get(cfg, "topology.seed", int, 0))
+    except RuntimeError as exc:
+        # raised only when no erdos_renyi sample connects
+        raise ConfigError(f"{exc}: raise 'topology.p'") from exc
     w = topo.metropolis_weights(g)
     if _get(cfg, "topology.lazy", bool, False):
         w = topo.lazy_transform(w)
@@ -215,18 +219,23 @@ def cmd_synth(args, cfg: dict) -> int:
 
 def cmd_run(args, cfg: dict) -> int:
     experiment = build_experiment(cfg, _get(cfg, "algorithm.id", str))
-    trace = run_experiment(experiment, jobs=args.jobs)
+    header = ["round", "grad_norm_sq", "consensus_err", "fgap",
+              "vectors_per_link"]
+    try:
+        trace = run_experiment(experiment, jobs=args.jobs)
+    except _Diverged as exc:
+        _write_csv(args.out, cfg, [header])
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     gaps = [None] * len(trace.rounds) if trace.fgap is None else trace.fgap
-    _write_csv(args.out, cfg, [
-        ["round", "grad_norm_sq", "consensus_err", "fgap", "vectors_per_link"],
-        *([int(r), g, c, gap, int(v)] for r, g, c, gap, v in zip(
-            trace.rounds, trace.grad_norm_sq, trace.consensus_err, gaps,
-            trace.vectors_per_link))])
-    final = len(trace.rounds) - 1
-    print(f"rounds={int(trace.rounds[final])}")
-    print(f"grad_norm_sq={float(trace.grad_norm_sq[final])!r}")
-    print(f"consensus_err={float(trace.consensus_err[final])!r}")
-    print(f"vectors_per_link={int(trace.vectors_per_link[final])}")
+    _write_csv(args.out, cfg, [header, *(
+        [int(r), g, c, gap, trace.vectors_at_round(r)] for r, g, c, gap in zip(
+            trace.rounds, trace.grad_norm_sq, trace.consensus_err, gaps))])
+    final = int(trace.rounds[-1])
+    print(f"rounds={final}")
+    print(f"grad_norm_sq={float(trace.grad_norm_sq[-1])!r}")
+    print(f"consensus_err={float(trace.consensus_err[-1])!r}")
+    print(f"vectors_per_link={trace.vectors_at_round(final)!r}")
     if trace.diverged:
         print("diverged=true")
         return 2

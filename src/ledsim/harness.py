@@ -12,7 +12,7 @@ import numpy as np
 
 from .algorithms import Driver, HyperParams, method
 from .problems import Problem
-from .rng import RngStream, RunStreams
+from .rng import RngStream
 from .topology import MixingMatrix
 
 DIVERGENCE_LIMIT = 1e12
@@ -75,9 +75,11 @@ class Trace:
             return None
         return int(self.rounds[hits[0]])
 
-    def vectors_at_round(self, r: int) -> int:
-        idx = np.searchsorted(self.rounds, r)
-        return int(self.vectors_per_link[idx])
+    def vectors_at_round(self, r: int) -> float:
+        """The run average of vectors per link sent by round r, exactly: an
+        int when integral, a float when random skips make it fractional."""
+        v = float(self.vectors_per_link[np.searchsorted(self.rounds, r)])
+        return int(v) if v.is_integer() else v
 
 
 def _recorded_rounds(rounds: int, cadence: int) -> list:
@@ -100,18 +102,6 @@ def _with_alpha(hyper: HyperParams, alpha) -> HyperParams:
 LANE_BYTES = 8 << 20
 
 
-def _streams(seed: int, runs: np.ndarray) -> RngStream:
-    """The stream of lanes whose runs are `runs`, in ascending order: that
-    run's own stream when there is one run, else a RunStreams drawing once
-    per run."""
-    # Python ints: run indices enter the stream keys through their repr
-    distinct = tuple(dict.fromkeys(map(int, runs)))
-    if len(distinct) == 1:
-        return RngStream(seed).child("run", distinct[0])
-    return RunStreams(seed, distinct, None if len(distinct) == len(runs)
-                      else np.searchsorted(distinct, runs))
-
-
 def _known_above(g, done: float, num_runs: int, target: float) -> bool:
     """Whether a slot's run average of grad_norm_sq is known to exceed target,
     from the finished runs' sum `done` and the live lanes' g (a float, or
@@ -119,10 +109,8 @@ def _known_above(g, done: float, num_runs: int, target: float) -> bool:
     run's value in run order, so done plus g in run order is at most its
     sum, rounding included; identical runs average to themselves, hence the
     check of g alone."""
-    if np.ndim(g) == 0:
-        return g > target and (done + g) / num_runs > target
     # cumsum adds in order
-    return (g.max() > target
+    return (np.max(g) > target
             and np.cumsum(np.append(done, g))[-1] / num_runs > target)
 
 
@@ -142,14 +130,13 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
     target, incumbent = prune_at or (math.inf, math.inf)
     first = bisect.bisect_left(recorded, incumbent)
     x0, hyper = cfg.initial_positions(), hypers[points[0]]
-    batched = len(points) > 1
-    if batched:
+    if len(points) > 1:
         x0 = np.stack([x0] * len(points))
         hyper = _with_alpha(hyper, np.array([hypers[k].alpha
                                              for k in points])[:, None, None])
     driver = Driver(cfg.algorithm, problem, cfg.mixing, hyper)
     state = driver.init(x0)
-    stream = _streams(cfg.base_seed, runs)
+    stream = RngStream.for_runs(cfg.base_seed, runs)
     block = np.full((len(points), 5, len(recorded)), np.nan)
     width = np.full(len(points), len(recorded))
     # the lanes still in the batch; a slice writes faster than indices
@@ -168,7 +155,7 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
         xbar = np.add.reduce(xmat, axis=-2) / problem.n_nodes
         g = problem.global_grad_norm_sq(xbar)
         finite = g <= DIVERGENCE_LIMIT   # False for inf and NaN
-        if not (finite.all() if batched else finite):
+        if not np.all(finite):
             if not np.any(finite):
                 width[live] = slot
                 break
@@ -178,7 +165,7 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
             state = type(state)(*(getattr(state, f.name)[finite]
                                   for f in fields(state)))
             driver.h = _with_alpha(driver.h, driver.h.alpha[finite])
-            stream = _streams(cfg.base_seed, runs[live])
+            stream = RngStream.for_runs(cfg.base_seed, runs[live])
             if np.ndim(cum_vectors):
                 cum_vectors = cum_vectors[finite]
         dev = xmat - xbar[..., None, :]
@@ -274,7 +261,6 @@ def _run(cfg: ExperimentConfig, hypers: list, pool: _Pool,
     per contiguous share of the runs, pool.jobs shares in all; None once
     pruned."""
     k = pool.jobs
-    # Python ints: run indices enter the stream keys through their repr
     shares = [range(i * cfg.num_runs // k, (i + 1) * cfg.num_runs // k)
               for i in range(k)]
     if k == 1:
@@ -419,7 +405,7 @@ class ComparisonRow:
     algorithm: str
     alpha: Optional[float]
     rounds_to_target: Optional[int]
-    vectors_to_target: Optional[int]
+    vectors_to_target: Optional[float]
 
 
 def compare(cfgs: Sequence[ExperimentConfig], target: float,

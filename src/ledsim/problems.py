@@ -102,7 +102,7 @@ class Problem:
 
     def sampled_grads(self, x_nodes: np.ndarray, stream: RngStream | None) -> np.ndarray:
         """grads plus iid N(0, sigma^2) noise: one (N, m) draw per call that
-        every batch slice shares, or one per lane from a RunStreams; with
+        every batch slice shares, or one per lane from a lane stream; with
         sigma == 0 it is grads(x_nodes) bit for bit."""
         g = self.grads(x_nodes)
         if self.sigma > 0:

@@ -52,17 +52,39 @@ def _digest(seed: int, path: tuple) -> bytes:
 
 
 class RngStream:
-    """A deterministic random stream addressed by a seed and a label path."""
+    """A deterministic random stream addressed by a seed and a label path.
 
-    __slots__ = ("seed", "path")
+    A lane stream, one with runs, stands for the streams
+    RngStream(seed).child("run", r, *path) of the distinct runs r in runs
+    (Python ints), stepped as one with a leading lane axis; lanes maps each
+    lane to its run's index in runs, or is None for one lane per run.  It
+    draws once per run, each draw bitwise the one that run's own stream
+    makes, and returns the draws gathered to the lanes, stacked on axis 0:
+    the lanes of one run share its draw.  for_runs() builds one.
+    """
 
-    def __init__(self, seed: int, path: tuple = ()):
+    __slots__ = ("seed", "path", "runs", "lanes")
+
+    def __init__(self, seed: int, path: tuple = (), runs=None, lanes=None):
         self.seed = int(seed)
         self.path = tuple(path)
+        self.runs = runs
+        self.lanes = lanes
+
+    @classmethod
+    def for_runs(cls, seed: int, runs) -> "RngStream":
+        """The stream of lanes whose runs are the integers `runs`, ascending:
+        that run's own stream when there is one run, else a lane stream."""
+        # labels key through their repr, and repr(np.int64(3)) is not "3"
+        distinct = tuple(dict.fromkeys(map(int, runs)))
+        if len(distinct) == 1:
+            return cls(seed).child("run", distinct[0])
+        return cls(seed, (), distinct, None if len(distinct) == len(runs)
+                   else np.searchsorted(distinct, runs))
 
     def child(self, *labels) -> "RngStream":
         """Derive a sub-stream by extending the path."""
-        return RngStream(self.seed, self.path + labels)
+        return RngStream(self.seed, self.path + labels, self.runs, self.lanes)
 
     def generator(self) -> np.random.Generator:
         """A fresh Generator keyed by sha256(seed, path).
@@ -73,80 +95,35 @@ class RngStream:
         return np.random.Generator(np.random.Philox(
             key=np.frombuffer(_digest(self.seed, self.path), dtype=np.uint64)))
 
-    def _rekeyed(self) -> np.random.Generator:
-        """The shared Generator, reset to the state generator() starts in."""
+    def _draw(self, method: str, size):
+        """The shared Generator's `method`(size), rekeyed to the state
+        generator() starts in; for a lane stream, once per run, keyed by one
+        head and tail formatted around each run's repr."""
         gen, rekey = _shared_generator()
-        rekey(repr((self.seed, self.path)))
-        return gen
+        draw = getattr(gen, method)
+        if self.runs is None:
+            rekey(repr((self.seed, self.path)))
+            return draw(size)
+        shape = () if size is None else tuple(size) if np.iterable(size) else (size,)
+        out = np.empty((len(self.runs),) + shape)
+        head = f"({self.seed!r}, ('run', "
+        tail = "".join(", " + repr(label) for label in self.path) + "))"
+        for k, run in enumerate(self.runs):
+            rekey(f"{head}{run!r}{tail}")
+            draw(out=out[k:k + 1])
+        return out if self.lanes is None else out[self.lanes]
 
     def normal(self, size, scale: float = 1.0) -> np.ndarray:
         """Standard normals scaled by `scale`; equal to generator()'s draws."""
-        out = self._rekeyed().standard_normal(size)
+        out = self._draw("standard_normal", size)
         if scale != 1.0:
             out *= scale
         return out
 
     def uniform(self, size=None):
         """Uniforms on [0, 1) equal to generator().random(size); a float
-        when size is None."""
-        u = self._rekeyed().random(size)
-        return float(u) if size is None else u
+        when size is None, or one per lane for a lane stream."""
+        return self._draw("random", size)
 
     def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, path={self.path})"
-
-
-class RunStreams(RngStream):
-    """The streams RngStream(seed).child("run", r) of several runs, stepped as
-    one stream with a leading lane axis.
-
-    runs holds the distinct runs as Python ints (they enter the keys through
-    their repr); lanes maps each lane to its run's index in runs, or is None
-    for one lane per run.  normal() and uniform() draw once per run, each
-    draw bitwise the one that run's own stream makes, and return the draws
-    gathered to the lanes, stacked on axis 0: the lanes of one run share its
-    draw.  A call formats the text its keys hash, repr((seed, ("run", r) +
-    path)), as one head and tail around each run's repr.  child() extends
-    the path below ("run", r).
-    """
-
-    __slots__ = ("runs", "lanes")
-
-    def __init__(self, seed: int, runs: tuple, lanes=None, path: tuple = ()):
-        super().__init__(seed, path)
-        self.runs = runs
-        self.lanes = lanes
-
-    def child(self, *labels) -> "RunStreams":
-        return RunStreams(self.seed, self.runs, self.lanes, self.path + labels)
-
-    def _draws(self, method: str, size) -> np.ndarray:
-        """The Generator method `method` once per run, rekeyed to the run's
-        stream and filling its (size)-shaped slot, gathered to the lanes."""
-        gen, rekey = _shared_generator()
-        draw = getattr(gen, method)
-        shape = ((1,) if size is None else tuple(size) if np.iterable(size)
-                 else (size,))
-        out = np.empty((len(self.runs),) + shape)
-        head = f"({self.seed!r}, ('run', "
-        tail = "".join(", " + repr(label) for label in self.path) + "))"
-        for k, run in enumerate(self.runs):
-            rekey(f"{head}{run!r}{tail}")
-            draw(out=out[k])
-        if size is None:
-            out = out[:, 0]
-        return out if self.lanes is None else out[self.lanes]
-
-    def normal(self, size, scale: float = 1.0) -> np.ndarray:
-        out = self._draws("standard_normal", size)
-        if scale != 1.0:
-            out *= scale
-        return out
-
-    def uniform(self, size=None) -> np.ndarray:
-        """One uniform per lane when size is None, else a (size) block each."""
-        return self._draws("random", size)
-
-    def __repr__(self) -> str:
-        return (f"RunStreams(seed={self.seed}, runs={self.runs}, "
-                f"path={self.path})")
+        return f"RngStream(seed={self.seed}, path={self.path}, runs={self.runs})"

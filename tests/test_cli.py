@@ -153,6 +153,14 @@ def test_spectra_invalid_graph_kind(capsys):
     assert code == 1 and "moebius" in err
 
 
+def test_erdos_renyi_that_never_connects_is_config_error(capsys):
+    code, out, err = _run(capsys, "spectra", "--graph", "erdos_renyi",
+                          "--n", "6", "--p", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "topology.p" in err
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -229,6 +237,37 @@ def test_run_divergence_exit_code(tmp_path, capsys):
                         "--rounds", "100", "--runs", "1")
     assert code == 2
     assert "diverged=true" in out
+
+
+def test_run_diverged_at_initial_point_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("problem.feature_scale = 1e9\n")
+    out_path = tmp_path / "d.csv"
+    code, out, err = _run(capsys, "--out", str(out_path), "run", "--config",
+                          str(cfg), "--algo", "led", "--graph", "ring",
+                          "--n", "15", "--rounds", "5", "--runs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "initial point" in err
+    # the effective config and the column names, and no rounds
+    assert _data_lines(out_path) == [
+        "round,grad_norm_sq,consensus_err,fgap,vectors_per_link"]
+    assert "problem.feature_scale = 1e9" in _header(out_path)
+
+
+def test_run_writes_fractional_vector_averages_exactly(tmp_path, capsys):
+    # scaffnew at p < 1 skips links at random, so runs send different counts
+    cfg = tmp_path / "skips.cfg"
+    cfg.write_text("hyperparameters.p = 0.5\n")
+    out_path = tmp_path / "v.csv"
+    code, out, _ = _run(capsys, "--out", str(out_path), "run", "--config",
+                        str(cfg), "--algo", "scaffnew", "--problem-kind",
+                        "quadratic", "--graph", "ring", "--n", "6", "--sigma",
+                        "0.01", "--rounds", "20", "--runs", "3", "--cadence", "5")
+    assert code == 0
+    vectors = [ln.split(",")[-1] for ln in _data_lines(out_path)[1:]]
+    assert vectors == ["0", "3", repr(16 / 3), "8", "10"]
+    assert _parse_kv(out)["vectors_per_link"] == "10"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledsim import RngStream
-from ledsim.rng import RunStreams
 
 _labels = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.text(max_size=8))
 
@@ -91,7 +90,7 @@ def test_run_streams_draw_each_run_as_its_own_stream(seed, path, lane_runs,
     runs, lanes = np.unique(lane_runs, return_inverse=True)
     runs = tuple(map(int, runs))
     gather = None if len(runs) == len(lane_runs) else lanes
-    streams = RunStreams(seed, runs, gather).child(*path)
+    streams = RngStream(seed, runs=runs, lanes=gather).child(*path)
     assert streams.path == tuple(path)
     normal, uniform = streams.normal(size, scale), streams.uniform()
     blocks = streams.uniform(size)
@@ -102,6 +101,19 @@ def test_run_streams_draw_each_run_as_its_own_stream(seed, path, lane_runs,
         assert normal[lane].tobytes() == own.normal(size, scale).tobytes()
         assert uniform[lane] == own.uniform()
         assert blocks[lane].tobytes() == own.uniform(size).tobytes()
+
+
+def test_for_runs_keys_numpy_run_indices_as_python_ints():
+    # a label keys through its repr, which differs for np.int64(3) and 3
+    assert not np.array_equal(RngStream(1).child("run", np.int64(3)).normal(4),
+                              RngStream(1).child("run", 3).normal(4))
+    one = RngStream.for_runs(1, np.array([3, 3]))
+    assert one.runs is None and one.path == ("run", 3)
+    lane_runs = np.array([0, 2, 2])
+    draws = RngStream.for_runs(1, lane_runs).child("round", 5).normal(2)
+    for lane, run in enumerate(lane_runs.tolist()):
+        own = RngStream(1).child("run", run, "round", 5)
+        assert draws[lane].tobytes() == own.normal(2).tobytes()
 
 
 # literal keys and draws of the derivation sha256(repr((seed, path)))[:16]:
@@ -123,6 +135,6 @@ def test_keys_and_draws_equal_golden_values():
         assert s.generator().bit_generator.state["state"]["key"].tobytes().hex() == key
         assert s.generator().standard_normal(3).tolist() == draws
         assert s.normal(3).tolist() == draws
-    assert RunStreams(1, (0, 2)).child("round", 5).normal(2).tolist() == [
+    assert RngStream(1, runs=(0, 2)).child("round", 5).normal(2).tolist() == [
         [-0.9460343955070543, 1.0956079204807818],
         [-0.7061271059462868, -0.6845708275063936]]
