@@ -7,13 +7,13 @@ path-addressed streams so two methods fed the same stream see the same noise,
 which is what the equivalence tests rely on.
 
 Every METHODS entry also steps a batch of L lanes, states stacked as
-(L, N, m) and alpha an (L, 1, 1) array; the harness makes a lane of each
-(grid point, run) pair.  Draws are per run: a plain stream's (N, m) draw
-serves every lane, and a lane stream gives each lane its run's draw, stacked
-on the lane axis.  scaffnew then flips its coin per lane too, and picks each
-lane's mixed or skipped update with np.where.  Node means run over axis -2,
-and each lane comes out bitwise as its state stepped alone on its run's
-stream.
+(L, N, m) and alpha an (L, 1, 1) array, which HyperParams checks entry by
+entry; the harness makes a lane of each (grid point, run) pair.  Draws are
+per run: a plain stream's (N, m) draw serves every lane, and a lane stream
+gives each lane its run's draw, stacked on the lane axis.  scaffnew then
+flips its coin per lane too, and picks each lane's mixed or skipped update
+with np.where.  Node means run over axis -2, and each lane comes out bitwise
+as its state stepped alone on its run's stream.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ class HyperParams:
     eta_pd the relaxation of the primal-dual single-step method; gamma the
     server/global stepsize of the server-workers variants.
 
-    The harness steps a batch of lanes at once through one instance whose
-    alpha is the (L, 1, 1) array of the lanes' stepsizes, set without
-    validation after each grid point was validated on its own.
+    alpha may be an array, the (L, 1, 1) stepsizes of a batch of lanes;
+    each entry is checked as a lone alpha would be.
     """
 
     alpha: float = 0.1
@@ -55,8 +54,9 @@ class HyperParams:
     def __post_init__(self):
         for name in ("alpha", "gamma", "beta", "zeta"):
             value = getattr(self, name)
-            # written so that NaN fails too
-            if value is not None and not 0 < value < math.inf:
+            # entry by entry, and written so that NaN fails too
+            if value is not None and not np.all((0 < value)
+                                                & (value < math.inf)):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
         if self.tau < 1:
@@ -64,7 +64,8 @@ class HyperParams:
         for name in ("p", "eta_pd"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in (0, 1]")
-        if self.zeta is not None and self.alpha * self.zeta / self.p > 1.0 + 1e-12:
+        if (self.zeta is not None
+                and np.any(self.alpha * self.zeta / self.p > 1.0 + 1e-12)):
             raise ValueError(f"zeta = {self.zeta!r} puts alpha*zeta/p above 1 "
                              f"at alpha = {self.alpha!r}")
 
@@ -189,12 +190,21 @@ def ed_init(x0: np.ndarray, problem: Problem, w: MixingMatrix, alpha: float) -> 
     return EdState(x_prev=x0, x_curr=x1, grad_prev=g0)
 
 
+def _exact_only(problem: Problem, name: str) -> None:
+    """Refuse a noisy problem in a step that takes exact gradients only."""
+    if problem.sigma > 0:
+        raise ValueError(f"{name} takes exact gradients only; the problem "
+                         f"has sigma = {problem.sigma!r}")
+
+
 def ed_eliminated_step(state: EdState, problem: Problem, w: MixingMatrix,
                        alpha: float) -> RoundOutput:
     """x+ = W (2 x - x_prev - alpha (grad f(x) - grad f(x_prev))).
 
-    Deterministic gradients only; this is the noiseless analytical ancestor.
+    Deterministic gradients only; this is the noiseless analytical ancestor,
+    and it refuses a problem with sigma > 0.
     """
+    _exact_only(problem, "ed_eliminated_step")
     if state.x_prev is None or state.grad_prev is None:
         raise ValueError("two-term recursion stepped before its bootstrap")
     g = problem.grads(state.x_curr)
@@ -220,8 +230,10 @@ def uda_ed_step(state: UdaEdState, problem: Problem, w: MixingMatrix,
                 alpha: float) -> RoundOutput:
     """Analysis-form step through the square root of I - W.
 
-    Not decentralizable (the square root is dense); used as an oracle.
+    Not decentralizable (the square root is dense); used as an oracle, on
+    exact gradients only, so it refuses a problem with sigma > 0.
     """
+    _exact_only(problem, "uda_ed_step")
     g = problem.grads(state.x)
     phi = state.x - alpha * g - state.b_half @ state.z
     x_new = w.w @ phi

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
@@ -90,13 +89,6 @@ class _Diverged(RuntimeError):
     """A run of an experiment left the finite range at its initial point."""
 
 
-def _with_alpha(hyper: HyperParams, alpha) -> HyperParams:
-    """hyper with its alpha replaced, unvalidated: an array steps a batch."""
-    hyper = copy.copy(hyper)
-    object.__setattr__(hyper, "alpha", alpha)
-    return hyper
-
-
 # The lanes of one batch after a share's first run hold at most this many
 # bytes of their largest temporary, Problem.point_bytes() per lane
 LANE_BYTES = 8 << 20
@@ -132,8 +124,8 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
     x0, hyper = cfg.initial_positions(), hypers[points[0]]
     if len(points) > 1:
         x0 = np.stack([x0] * len(points))
-        hyper = _with_alpha(hyper, np.array([hypers[k].alpha
-                                             for k in points])[:, None, None])
+        alphas = np.array([hypers[k].alpha for k in points])
+        hyper = replace(hyper, alpha=alphas[:, None, None])
     driver = Driver(cfg.algorithm, problem, cfg.mixing, hyper)
     state = driver.init(x0)
     stream = RngStream.for_runs(cfg.base_seed, runs)
@@ -164,7 +156,7 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
             live, xmat, xbar, g = (a[finite] for a in (live, xmat, xbar, g))
             state = type(state)(*(getattr(state, f.name)[finite]
                                   for f in fields(state)))
-            driver.h = _with_alpha(driver.h, driver.h.alpha[finite])
+            driver.h = replace(driver.h, alpha=driver.h.alpha[finite])
             stream = RngStream.for_runs(cfg.base_seed, runs[live])
             if np.ndim(cum_vectors):
                 cum_vectors = cum_vectors[finite]

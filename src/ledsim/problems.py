@@ -8,11 +8,19 @@ noise-floor experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import RngStream
+
+
+def _scale(name: str, value) -> float:
+    """value as a float, once it is finite and >= 0; NaN fails too."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
 
 
 def softplus(t: np.ndarray) -> np.ndarray:
@@ -56,8 +64,12 @@ class SynthConfig:
     feature_scale: float = 5.0
 
     def __post_init__(self):
-        if min(self.sigma_u, self.sigma_h, self.sigma, self.feature_scale) < 0:
-            raise ValueError("scales must be nonnegative")
+        for name in ("n_nodes", "dim", "n_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("reg", "sigma_u", "sigma_h", "sigma", "feature_scale"):
+            _scale(name, getattr(self, name))
 
 
 class Problem:
@@ -146,7 +158,7 @@ class LogisticProblem(Problem):
         self.n_nodes = len(datasets)
         self.dim = dims.pop()
         self.reg = float(reg)
-        self.sigma = float(sigma)
+        self.sigma = _scale("sigma", sigma)
         # Labels folded into transposed features for the vectorized
         # whole-network gradient: _zt[n] = (y_s h_s)^T, shape (N, m, S), so
         # x @ _zt[n] is the margin y_s h_s^T x = -t, where t is the argument
@@ -237,7 +249,7 @@ class QuadraticProblem(Problem):
         self.a = a
         self.b = b
         self.n_nodes, self.dim = b.shape
-        self.sigma = float(sigma)
+        self.sigma = _scale("sigma", sigma)
         self.a_bar = a.mean(axis=0)
         eigs = np.linalg.eigvalsh(self.a_bar)
         if eigs[0] <= 0:
@@ -286,8 +298,11 @@ def quadratic_problem(n_nodes: int, dim: int, mu: float, lip: float,
     nodes are identical.  b_i = b_bar + heterogeneity * d_i with centered d_i,
     so the gradient spread at the all-zeros point is set by the b spread alone.
     """
-    if not 0 < mu <= lip:
-        raise ValueError("need 0 < mu <= lip")
+    if not 0 < mu <= lip < math.inf:
+        raise ValueError("need 0 < mu <= lip < inf")
+    if min(n_nodes, dim) < 1:
+        raise ValueError(f"n_nodes and dim must be >= 1, got {n_nodes}, {dim}")
+    _scale("heterogeneity", heterogeneity)
     rng = RngStream(seed).child("quadratic")
     gauss = rng.child("basis").normal((dim, dim))
     q, _ = np.linalg.qr(gauss)

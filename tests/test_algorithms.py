@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ledsim import (Driver, HyperParams, QuadraticProblem, RngStream,
-                    complete_mixing, harness, synth_logistic)
+                    complete_mixing, synth_logistic)
 from ledsim.algorithms import (ALGORITHMS, CENTRALIZED, GateState,
                                PrimalDualState, PrimalState, ScaffnewState,
                                TrackingState, consensus_sqrt,
@@ -113,6 +113,16 @@ def test_ed_requires_bootstrap(quad6, ring6):
     with pytest.raises(ValueError):
         ed_eliminated_step(EdState(None, np.zeros((6, 4)), None), quad6, ring6,
                            0.1)
+
+
+def test_analysis_forms_refuse_noisy_problems(quad6_noisy, ring6):
+    # both take exact gradients; on a noisy problem they used to run silently
+    x0 = np.zeros((6, 4))
+    with pytest.raises(ValueError, match="sigma = 0.05"):
+        ed_eliminated_step(ed_init(x0, quad6_noisy, ring6, 0.1), quad6_noisy,
+                           ring6, 0.1)
+    with pytest.raises(ValueError, match="sigma = 0.05"):
+        uda_ed_step(uda_ed_init(x0, ring6), quad6_noisy, ring6, 0.1)
 
 
 def test_ed_identity_mixing_reduces_to_two_term_identity(quad6, identity6):
@@ -393,6 +403,25 @@ def test_hyperparams_defaults_and_validation():
                 HyperParams(**{"alpha": 0.1, field: bad})
 
 
+def test_hyperparams_check_a_lane_alpha_entry_by_entry():
+    # the harness steps a batch of lanes with an (L, 1, 1) alpha
+    alphas = np.array([0.01, 0.1, 1.0])[:, None, None]
+    h = HyperParams(alpha=alphas, tau=3, p=0.5)
+    assert h.alpha is alphas and h.zeta_eff.shape == (3, 1, 1)
+    assert replace(h, alpha=alphas[[True, False, True]]).alpha.shape == (2, 1, 1)
+    for bad in (float("nan"), float("inf"), 0.0, -0.1):
+        lanes = np.array([0.01, bad, 0.1])[:, None, None]
+        with pytest.raises(ValueError, match="^alpha must be positive"):
+            HyperParams(alpha=lanes)
+        with pytest.raises(ValueError, match="^alpha must be positive"):
+            replace(h, alpha=lanes)
+    # alpha*zeta/p = 0.4 and 0.8 pass, and the third lane's 2.0 fails
+    lanes = np.array([0.02, 0.04, 0.1])[:, None, None]
+    HyperParams(alpha=lanes[:2], zeta=2.0, p=0.1)
+    with pytest.raises(ValueError, match="^zeta = 2.0 puts alpha"):
+        HyperParams(alpha=lanes, zeta=2.0, p=0.1)
+
+
 def test_communication_accounting_matches_costs(quad6, ring6, complete6):
     h = HyperParams(alpha=0.05, tau=2)
     one_vector = {"led", "led1", "pdfp2o", "dsgd", "local_dsgd", "scaffnew"}
@@ -442,7 +471,7 @@ def test_stacked_states_step_as_separate_states(algo, quad6_noisy, ring6,
     for problem in (quad6_noisy, logistic):
         solo = [Driver(algo, problem, w, replace(h, alpha=a)) for a in alphas]
         batch = Driver(algo, problem, w,
-                       harness._with_alpha(h, alphas[:, None, None]))
+                       replace(h, alpha=alphas[:, None, None]))
         states = [d.init(x0) for d in solo]
         stacked = batch.init(np.stack([x0] * len(alphas)))
         for r in range(4):

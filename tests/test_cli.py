@@ -493,6 +493,31 @@ def test_run_rejects_a_bad_stepsize(tmp_path, capsys, monkeypatch, flag,
     assert not out_path.exists() and not runs
 
 
+@pytest.mark.parametrize("args,key", [
+    (["--problem-kind", "quadratic", "--sigma", "-1"], "sigma"),
+    (["--problem-kind", "quadratic", "--sigma", "nan"], "sigma"),
+    (["--sigma", "nan"], "sigma"),
+    (["--sigma-h", "inf"], "sigma_h"),
+    (["--problem-kind", "quadratic", "--config", "heterogeneity.cfg"],
+     "heterogeneity"),
+    (["--config", "dim.cfg"], "dim")])
+def test_run_rejects_a_bad_problem_config(tmp_path, capsys, monkeypatch, args,
+                                          key):
+    # each used to run: a quadratic --sigma -1 or nan on exact gradients
+    # (exit 0), heterogeneity nan to exit 2, and the rest to exit 0
+    (tmp_path / "heterogeneity.cfg").write_text("problem.heterogeneity = nan\n")
+    (tmp_path / "dim.cfg").write_text("problem.dim = 0\n")
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    monkeypatch.setattr(harness, "_run_share", lambda *a: runs.append(a))
+    code, out, err = _run(capsys, "--out", "x.csv", "run", "--algo", "led",
+                          "--graph", "ring", "--n", "5", "--runs", "2",
+                          "--rounds", "20", *args)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists() and not runs
+
+
 @pytest.mark.parametrize("command", [["tune", "--algo", "led"],
                                      ["compare", "--algos", "led,kgt"]])
 @pytest.mark.parametrize("target", ["nan", "-0.001"])

@@ -345,9 +345,53 @@ def test_quadratic_heterogeneity_zero_means_identical_nodes():
 def test_quadratic_infeasible_spectrum_rejected():
     with pytest.raises(ValueError):
         quadratic_problem(3, 2, mu=2.0, lip=1.0, heterogeneity=0.0, seed=0)
+    with pytest.raises(ValueError, match="lip < inf"):
+        quadratic_problem(3, 2, mu=0.5, lip=math.inf, heterogeneity=0.0, seed=0)
     with pytest.raises(ValueError):
         QuadraticProblem(np.array([[1.0, 0.5], [0.4, 1.0]]),
                          np.zeros((2, 2)))  # asymmetric Hessian
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_both_families_reject_a_bad_sigma(small_logistic, bad):
+    # a negative or NaN sigma used to run on exact gradients, since
+    # sampled_grads adds noise only where sigma > 0
+    for build in (
+            lambda: QuadraticProblem(np.eye(2), np.zeros((3, 2)), sigma=bad),
+            lambda: quadratic_problem(3, 2, mu=0.5, lip=1.0, heterogeneity=1.0,
+                                      seed=0, sigma=bad),
+            lambda: LogisticProblem(small_logistic.datasets, reg=0.01,
+                                    sigma=bad),
+            lambda: SynthConfig(sigma=bad)):
+        with pytest.raises(ValueError, match="^sigma must be finite and >= 0"):
+            build()
+
+
+@pytest.mark.parametrize("field", ["reg", "sigma_u", "sigma_h",
+                                   "feature_scale"])
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_synth_config_rejects_bad_scales(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+        SynthConfig(**{field: bad})
+    SynthConfig(**{field: 0.0})
+
+
+@pytest.mark.parametrize("field", ["n_nodes", "dim", "n_samples"])
+def test_synth_config_rejects_empty_sizes(field):
+    # dim = 0 used to build a problem with no coordinates and run it
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0"):
+        SynthConfig(**{field: 0})
+
+
+def test_quadratic_suite_rejects_bad_sizes_and_heterogeneity():
+    # heterogeneity = nan used to build a NaN problem that diverged at once
+    base = dict(n_nodes=3, dim=2, mu=0.5, lip=1.0, heterogeneity=1.0, seed=0)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="^heterogeneity must be finite"):
+            quadratic_problem(**{**base, "heterogeneity": bad})
+    for key in ("n_nodes", "dim"):
+        with pytest.raises(ValueError, match="n_nodes and dim must be >= 1"):
+            quadratic_problem(**{**base, key: 0})
 
 
 # ---------------------------------------------------------------------------
