@@ -59,8 +59,9 @@ class HyperParams:
                                                 & (value < math.inf)):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+        # a float tau would reach range() at the first step
+        if not isinstance(self.tau, (int, np.integer)) or self.tau < 1:
+            raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
         for name in ("p", "eta_pd"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in (0, 1]")

@@ -13,13 +13,14 @@ import argparse
 import csv
 import dataclasses
 import io
+import os
 import sys
 from typing import Callable, NamedTuple
 
 from . import topology as topo
 from .algorithms import HyperParams
-from .harness import (ExperimentConfig, _Diverged, compare,
-                      default_alpha_grid, run_experiment, tune_to_target)
+from .harness import (ExperimentConfig, compare, default_alpha_grid,
+                      run_experiment, tune_to_target)
 from .problems import SynthConfig, quadratic_problem, synth_logistic
 
 
@@ -124,6 +125,11 @@ def build_mixing(cfg: dict) -> topo.MixingMatrix:
     except RuntimeError as exc:
         # raised only when no erdos_renyi sample connects
         raise ConfigError(f"{exc}: raise 'topology.p'") from exc
+    except ValueError as exc:
+        # build_graph names its seed argument; name the key it came from
+        if str(exc).startswith("seed "):
+            raise ConfigError(f"topology.{exc}") from exc
+        raise
     w = topo.metropolis_weights(g)
     if _get(cfg, "topology.lazy", bool, False):
         w = topo.lazy_transform(w)
@@ -178,6 +184,15 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _check_out(path: str) -> None:
+    """Fails before any round runs where the CSV could not be written."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"--out {path!r} is in a directory that does "
+                          "not exist")
+
+
 def _write_csv(path: str, cfg: _Config, rows) -> None:
     """rows as CSV under the effective configuration as '# key = value'
     lines."""
@@ -208,6 +223,7 @@ def cmd_synth(args, cfg: dict) -> int:
         raise ConfigError("synth writes logistic datasets only; "
                           "problem.kind must be 'logistic'")
     problem = build_problem(cfg)
+    _check_out(args.out)
     rows = [["node", "row"] + [f"f{j}" for j in range(problem.dim)] + ["label"]]
     for i, ds in enumerate(problem.datasets):
         for s in range(len(ds.labels)):
@@ -219,18 +235,17 @@ def cmd_synth(args, cfg: dict) -> int:
 
 def cmd_run(args, cfg: dict) -> int:
     experiment = build_experiment(cfg, _get(cfg, "algorithm.id", str))
+    _check_out(args.out)
     header = ["round", "grad_norm_sq", "consensus_err", "fgap",
               "vectors_per_link"]
-    try:
-        trace = run_experiment(experiment, jobs=args.jobs)
-    except _Diverged as exc:
-        _write_csv(args.out, cfg, [header])
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    trace = run_experiment(experiment, jobs=args.jobs)
     gaps = [None] * len(trace.rounds) if trace.fgap is None else trace.fgap
     _write_csv(args.out, cfg, [header, *(
         [int(r), g, c, gap, trace.vectors_at_round(r)] for r, g, c, gap in zip(
             trace.rounds, trace.grad_norm_sq, trace.consensus_err, gaps))])
+    if not len(trace.rounds):
+        print("error: experiment diverged at the initial point", file=sys.stderr)
+        return 2
     final = int(trace.rounds[-1])
     print(f"rounds={final}")
     print(f"grad_norm_sq={float(trace.grad_norm_sq[-1])!r}")
@@ -251,6 +266,7 @@ def cmd_tune(args, cfg: dict) -> int:
     if args.grid_points is not None:
         grid = default_alpha_grid(1.0 / experiment.problem.lipschitz(),
                                   points=args.grid_points)
+    _check_out(args.out)
     result = tune_to_target(experiment, target, alphas=grid, jobs=args.jobs)
     _write_csv(args.out, cfg, [
         ["alpha", "rounds_to_target", "diverged"],
@@ -272,6 +288,7 @@ def cmd_compare(args, cfg: dict) -> int:
     # one problem for every method; replace re-validates each name
     base = build_experiment(cfg, algos[0])
     cfgs = [dataclasses.replace(base, algorithm=algo) for algo in algos]
+    _check_out(args.out)
     rows = compare(cfgs, target, jobs=args.jobs)
     _write_csv(args.out, cfg, [
         ["algorithm", "alpha", "rounds_to_target", "vectors_to_target"],
@@ -357,7 +374,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merged(args)
         code = COMMANDS[args.command].func(args, cfg)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # one config file may serve several subcommands: warn, do not fail

@@ -85,12 +85,8 @@ def _recorded_rounds(rounds: int, cadence: int) -> list:
     return [0, *range(cadence, rounds, cadence), rounds]
 
 
-class _Diverged(RuntimeError):
-    """A run of an experiment left the finite range at its initial point."""
-
-
-# The lanes of one batch after a share's first run hold at most this many
-# bytes of their largest temporary, Problem.point_bytes() per lane
+# The lanes of one batch hold at most this many bytes of their largest
+# temporary, Problem.point_bytes() per lane
 LANE_BYTES = 8 << 20
 
 
@@ -185,9 +181,9 @@ def _run_share(cfg: ExperimentConfig, hypers: list, runs: range,
 
     The points differ in alpha only.  A lane is one (point, run) pair, and
     _run_lanes steps a batch of lanes in lockstep.  The share's first run
-    goes first, its points as one batch (or alone, for one point); then the
-    other runs × points go as batches of lanes, run-major, at most
-    LANE_BYTES // point_bytes() lanes each.  Each run keeps its own noise
+    goes first, apart from the rest, then the other runs × points,
+    run-major; each part as batches of at most LANE_BYTES // point_bytes()
+    lanes.  Each run keeps its own noise
     draws, keyed (run, round, step), which the lanes of that run share, and
     every operation acts on each lane as on a lone run: so each block is
     bitwise the one its run gets alone, for any batching.
@@ -203,10 +199,12 @@ def _run_share(cfg: ExperimentConfig, hypers: list, runs: range,
     machinery only affects the trajectory.
     """
     sums = np.zeros(len(_recorded_rounds(cfg.rounds, cfg.cadence)))
-    lanes = [(k, run) for run in runs[1:] for k in range(len(hypers))]
     per_batch = max(1, LANE_BYTES // cfg.problem.point_bytes())
-    batches = [[(k, runs[0]) for k in range(len(hypers))]]
-    batches += [lanes[i:i + per_batch] for i in range(0, len(lanes), per_batch)]
+    batches = []
+    for part in (runs[:1], runs[1:]):
+        lanes = [(k, run) for run in part for k in range(len(hypers))]
+        batches += [lanes[i:i + per_batch]
+                    for i in range(0, len(lanes), per_batch)]
     blocks = [[] for _ in hypers]
     for batch in batches:
         points, lane_runs = map(np.array, zip(*batch))
@@ -270,10 +268,9 @@ def _run(cfg: ExperimentConfig, hypers: list, pool: _Pool,
 def _trace(cfg: ExperimentConfig, results: list) -> Trace:
     """The Trace of one point's runs' metrics blocks, averaged pointwise."""
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
-    # valid length = rounds recorded before any run went non-finite
+    # valid length = rounds recorded before any run went non-finite; 0 when
+    # a run starts past the divergence limit
     n_valid = min(block.shape[1] for block in results)
-    if n_valid == 0:
-        raise _Diverged("experiment diverged at the initial point")
 
     def avg(row):
         arrs = [block[row, :n_valid] for block in results]
@@ -298,8 +295,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
     Deterministic for a given base_seed regardless of jobs: runs own
     path-addressed streams and the reduction is ordered by run index.  A run
     whose metric leaves the finite range truncates the trace at the first bad
-    round and flags the result.  The runs split into min(jobs, num_runs)
-    contiguous shares, each run in order by one process.
+    round, no round left if that is round 0, and flags the result.  The runs
+    split into min(jobs, num_runs) contiguous shares, each run in order by
+    one process.
     """
     with _Pool(cfg, jobs) as pool:
         return _trace(cfg, _run(cfg, [cfg.hyper], pool)[0])
@@ -379,11 +377,7 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
                 if blocks is None:
                     points[i] = GridPoint(hp.alpha, None, False, pruned=True)
                     continue
-                try:
-                    trace = _trace(cfg, blocks[k])
-                except _Diverged:
-                    points[i] = GridPoint(hp.alpha, None, True)
-                    continue
+                trace = _trace(cfg, blocks[k])
                 rtt = None if trace.diverged else trace.rounds_to_target(target)
                 points[i] = GridPoint(hp.alpha, rtt, trace.diverged)
                 if rtt is not None and (best[0] is None or rtt < best[0]):
@@ -445,8 +439,9 @@ def noise_floor(cfg: ExperimentConfig, jobs: int = 1) -> NoiseFloor:
         raise ValueError("noise_floor needs a problem with a known minimizer")
     trace = run_experiment(cfg, jobs=jobs)
     if trace.diverged:
-        raise RuntimeError("noise_floor: the run diverged; its last finite "
-                           f"recorded round is {trace.rounds[-1]}")
+        where = (f"; its last finite recorded round is {trace.rounds[-1]}"
+                 if len(trace.rounds) else " at the initial point")
+        raise RuntimeError(f"noise_floor: the run diverged{where}")
     dist = trace.dist_to_opt_sq
     n_tail = max(2, len(dist) // 4)
     tail = dist[-n_tail:]

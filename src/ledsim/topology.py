@@ -91,6 +91,9 @@ def build_graph(kind: str, n: int, rows: int | None = None, cols: int | None = N
             raise ValueError("erdos_renyi requires edge probability p in [0,1]")
         if seed is None:
             seed = 0
+        # attempt k draws from a Philox keyed by the uint64 seed + k
+        if not 0 <= seed <= 2**64 - 100:
+            raise ValueError(f"seed must be in [0, 2**64 - 100], got {seed}")
         for attempt in range(100):
             rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + attempt)))
             mask = rng.random((n, n)) < p

@@ -4,10 +4,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ledsim import (Driver, HyperParams, QuadraticProblem, RngStream,
                     complete_mixing, synth_logistic)
-from ledsim.algorithms import (ALGORITHMS, CENTRALIZED, GateState,
+from ledsim.algorithms import (ALGORITHMS, CENTRALIZED, METHODS, GateState,
                                PrimalDualState, PrimalState, ScaffnewState,
                                TrackingState, consensus_sqrt,
                                ed_eliminated_step, ed_init, fedgate_round,
@@ -369,6 +371,43 @@ def test_led_server_large_gamma_keeps_dual_sum(quad6_noisy):
         assert np.max(np.abs(st.y.sum(axis=0))) <= 1e-10
 
 
+# the correction whose node sum each corrected method keeps at its start;
+# scaffold's controls do not keep theirs, and its server control is their mean
+_CONSERVED = {"led": "y", "led1": "y", "pdfp2o": "y", "fedgate": "y",
+              "vrl_sgd": "y", "led_server": "y", "scaffnew": "z", "kgt": "c",
+              "scaffold": None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(algo=st.sampled_from(sorted(_CONSERVED)), seed=st.integers(0, 2**32),
+       tau=st.integers(1, 4), alpha=st.floats(0.01, 0.2),
+       p=st.sampled_from([0.5, 1.0]), lanes=st.integers(0, 3))
+def test_corrections_keep_their_node_sum(quad6_noisy, ring6, complete6, algo,
+                                         seed, tau, alpha, p, lanes):
+    # lanes = 0 steps (N, m) states on a run's stream; lanes >= 1 steps
+    # (L, N, m) states with an (L, 1, 1) alpha on the streams of runs 0, 0, 1
+    w = complete6 if METHODS[algo].centralized else ring6
+    x0 = np.random.default_rng(seed).normal(size=(6, 4))
+    runs = [0]
+    if lanes:
+        x0 = np.stack([x0 + k for k in range(lanes)])
+        alpha = alpha * np.array([1.0, 0.7, 0.4])[:lanes, None, None]
+        runs = [0, 0, 1][:lanes]
+    driver = Driver(algo, quad6_noisy, w, HyperParams(alpha=alpha, tau=tau, p=p))
+    stream = RngStream.for_runs(seed, runs)
+    state = driver.init(x0)
+    name = _CONSERVED[algo]
+    start = None if name is None else getattr(state, name).sum(axis=-2)
+    for r in range(10):
+        state = driver.step(state, stream.child("round", r)).state
+        if name is None:
+            assert np.array_equal(state.c_bar, state.c.mean(axis=-2))
+            continue
+        corr = getattr(state, name)
+        scale = np.abs(corr).sum(axis=-2).max()
+        assert np.abs(corr.sum(axis=-2) - start).max() <= 1e-12 * scale, r
+
+
 # ---------------------------------------------------------------------------
 # hyperparameters, accounting, driver
 # ---------------------------------------------------------------------------
@@ -383,6 +422,11 @@ def test_hyperparams_defaults_and_validation():
         HyperParams(alpha=-1.0)
     with pytest.raises(ValueError):
         HyperParams(alpha=0.1, tau=0)
+    # tau counts local steps: a float one used to fail at the first step
+    assert HyperParams(tau=np.int64(3)).beta_eff == pytest.approx(1 / 3)
+    for bad in (2.5, 3.0, float("nan"), "3", None):
+        with pytest.raises(ValueError, match="^tau must be an integer >= 1"):
+            HyperParams(alpha=0.1, tau=bad)
     with pytest.raises(ValueError):
         HyperParams(alpha=0.1, p=0.0)
     assert HyperParams(alpha=0.1, eta_pd=0.5).eta_pd == 0.5

@@ -161,6 +161,20 @@ def test_erdos_renyi_that_never_connects_is_config_error(capsys):
     assert "topology.p" in err
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_a_negative_topology_seed_is_config_error(tmp_path, capsys, how):
+    # numpy used to raise OverflowError on the uint64 key
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("topology.seed = -1\n")
+    args = (["--seed", "-1", "spectra"] if how == "flag"
+            else ["spectra", "--config", str(cfg)])
+    code, out, err = _run(capsys, *args, "--graph", "erdos_renyi", "--n", "6",
+                          "--p", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: topology.seed must be in ")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -532,6 +546,35 @@ def test_tune_and_compare_reject_a_bad_target(tmp_path, capsys, monkeypatch,
     assert code == 1 and out == ""
     assert "error: target must be >= 0, got" in err
     assert not out_path.exists() and not runs
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--n-nodes", "2", "--dim", "2", "--n-samples", "5"],
+    ["run", "--algo", "led", *QUAD_ARGS],
+    ["tune", "--algo", "led", *QUAD_ARGS],
+    ["compare", "--algos", "led,kgt", *QUAD_ARGS]])
+@pytest.mark.parametrize("out", ["dir", "missing/x.csv"])
+def test_a_bad_out_fails_before_any_round(tmp_path, capsys, monkeypatch,
+                                          command, out):
+    # a directory used to end in a traceback, and a missing directory in
+    # exit 1, each only after the last round
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    runs = []
+    monkeypatch.setattr(harness, "_run_share", lambda *a: runs.append(a))
+    code, stdout, err = _run(capsys, "--out", out, *command)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: --out {out!r} is ") and err.count("\n") == 1
+    assert not runs and not any((tmp_path / "dir").iterdir())
+
+
+def test_an_out_that_fails_at_write_time_is_one_error_line(tmp_path, capsys):
+    # the directory exists, but no file system takes a 300-byte name
+    out_path = tmp_path / ("x" * 300)
+    code, stdout, err = _run(capsys, "--out", str(out_path), "run", "--algo",
+                             "led", *QUAD_ARGS)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_compare_empty_algo_list(tmp_path, capsys):

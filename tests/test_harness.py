@@ -523,16 +523,9 @@ def test_tune_never_prunes_by_default():
 # ---------------------------------------------------------------------------
 
 def _per_point(cfg, alphas):
-    """{alpha: run_experiment's trace, or None where it diverged at the
-    initial point}."""
-    traces = {}
-    for alpha in alphas:
-        try:
-            traces[alpha] = run_experiment(
-                replace(cfg, hyper=replace(cfg.hyper, alpha=alpha)))
-        except harness._Diverged:
-            traces[alpha] = None
-    return traces
+    """{alpha: run_experiment's trace}."""
+    return {a: run_experiment(replace(cfg, hyper=replace(cfg.hyper, alpha=a)))
+            for a in alphas}
 
 
 def _assert_tune_equals_per_point(monkeypatch, cfg, target, alphas, jobs):
@@ -546,8 +539,7 @@ def _assert_tune_equals_per_point(monkeypatch, cfg, target, alphas, jobs):
                   lambda *a: built.append(trace(*a)) or built[-1])
         res = tune_to_target(cfg, target, alphas=alphas, jobs=jobs)
     label = (cfg.algorithm, cfg.num_runs, jobs)
-    expect = [harness.GridPoint(a, None, True) if t is None else
-              harness.GridPoint(a, None if t.diverged
+    expect = [harness.GridPoint(a, None if t.diverged
                                 else t.rounds_to_target(target), t.diverged)
               for a, t in ref.items()]
     assert res.points == tuple(expect), label
@@ -559,7 +551,7 @@ def _assert_tune_equals_per_point(monkeypatch, cfg, target, alphas, jobs):
     else:
         assert res.best is None and res.best_trace is None, label
     # the batch runs largest alpha first
-    wanted = [ref[a] for a in sorted(alphas, reverse=True) if ref[a] is not None]
+    wanted = [ref[a] for a in sorted(alphas, reverse=True)]
     assert len(built) == len(wanted), label
     for got, want in zip(built, wanted):
         _assert_traces_equal(got, want, label)
@@ -715,8 +707,8 @@ def test_batched_runs_start_from_x0():
 
 
 def test_lane_batches_chunk_under_the_byte_cap(monkeypatch):
-    # two lanes per batch: the 3 points x 4 later runs of a 5-run share go
-    # as six batches of two
+    # two lanes per batch: the first run's 3 points go as batches of two and
+    # one, then the 3 points x 4 later runs of a 5-run share as six of two
     cfg = _method_cfg("led", num_runs=5, rounds=20)
     sizes = []
     run_lanes = harness._run_lanes
@@ -725,7 +717,7 @@ def test_lane_batches_chunk_under_the_byte_cap(monkeypatch):
                         or run_lanes(cfg, hypers, points, *a))
     monkeypatch.setattr(harness, "LANE_BYTES", 2 * cfg.problem.point_bytes())
     _assert_runs_equal_solo_runs(cfg, (0.3, 0.1, 0.05))
-    assert sizes[:7] == [3, 2, 2, 2, 2, 2, 2]
+    assert sizes[:8] == [2, 1, 2, 2, 2, 2, 2, 2]
     sizes.clear()
     monkeypatch.setattr(harness, "LANE_BYTES", 1 << 30)
     _assert_runs_equal_solo_runs(cfg, (0.3, 0.1, 0.05))
@@ -791,6 +783,17 @@ def test_noise_floor_raises_on_divergence(rounds, cadence, last):
     trace = run_experiment(cfg)
     assert trace.diverged and trace.rounds[-1] == last
     with pytest.raises(RuntimeError, match=f"last finite recorded round is {last}$"):
+        noise_floor(cfg)
+
+
+def test_initial_point_divergence_is_a_trace_without_rounds():
+    # run_experiment used to raise here, for its callers to catch
+    cfg = _method_cfg("led", num_runs=2, rounds=20, x0=np.full((6, 3), 1e7))
+    trace = run_experiment(cfg)
+    assert trace.diverged and len(trace.rounds) == 0
+    assert len(trace.grad_norm_sq) == len(trace.vectors_per_link) == 0
+    assert trace.fgap is None and trace.dist_to_opt_sq is None
+    with pytest.raises(RuntimeError, match="diverged at the initial point$"):
         noise_floor(cfg)
 
 

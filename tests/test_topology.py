@@ -64,6 +64,14 @@ def test_erdos_renyi_impossible_fails_loudly():
         build_graph("erdos_renyi", 5, p=0.0, seed=0)
 
 
+def test_erdos_renyi_rejects_a_seed_its_key_cannot_hold():
+    # attempt k keys its Philox with the uint64 seed + k, k < 100
+    for seed in (-1, 2**64 - 99):
+        with pytest.raises(ValueError, match="^seed must be in "):
+            build_graph("erdos_renyi", 6, p=0.5, seed=seed)
+    assert build_graph("erdos_renyi", 6, p=0.5, seed=2**64 - 100).n_nodes == 6
+
+
 def test_disconnected_graph_rejected():
     with pytest.raises(ValueError):
         Graph(4, frozenset({(0, 1), (2, 3)}))
