@@ -114,22 +114,22 @@ def _fields(cfg: dict, section: str, cls) -> dict:
             for f in dataclasses.fields(cls)}
 
 
+# the build_graph arguments each graph kind reads, as topology.<name> keys:
+# (name, cast, default); another kind's keys are set but not read
+_GRAPH_KEYS = {"grid": (("rows", int, None), ("cols", int, None)),
+               "erdos_renyi": (("p", float, None), ("seed", int, 0))}
+
+
 def build_mixing(cfg: dict) -> topo.MixingMatrix:
+    kind = _get(cfg, "topology.graph", str)
+    n = _get(cfg, "topology.n", int)
+    kwargs = {name: _get(cfg, f"topology.{name}", cast, default)
+              for name, cast, default in _GRAPH_KEYS.get(kind, ())}
     try:
-        g = topo.build_graph(
-            _get(cfg, "topology.graph", str), _get(cfg, "topology.n", int),
-            rows=_get(cfg, "topology.rows", int, None),
-            cols=_get(cfg, "topology.cols", int, None),
-            p=_get(cfg, "topology.p", float, None),
-            seed=_get(cfg, "topology.seed", int, 0))
+        g = topo.build_graph(kind, n, **kwargs)
     except RuntimeError as exc:
         # raised only when no erdos_renyi sample connects
         raise ConfigError(f"{exc}: raise 'topology.p'") from exc
-    except ValueError as exc:
-        # build_graph names its seed argument; name the key it came from
-        if str(exc).startswith("seed "):
-            raise ConfigError(f"topology.{exc}") from exc
-        raise
     w = topo.metropolis_weights(g)
     if _get(cfg, "topology.lazy", bool, False):
         w = topo.lazy_transform(w)
@@ -186,6 +186,8 @@ def _csv_text(rows) -> str:
 
 def _check_out(path: str) -> None:
     """Fails before any round runs where the CSV could not be written."""
+    if not path:
+        raise ConfigError(f"--out {path!r} is empty")
     if os.path.isdir(path):
         raise ConfigError(f"--out {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import RngStream
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -57,20 +59,18 @@ def _connected(n: int, edges) -> bool:
 
 
 def build_graph(kind: str, n: int, rows: int | None = None, cols: int | None = None,
-                p: float | None = None, seed: int | None = None) -> Graph:
+                p: float | None = None, seed: int = 0) -> Graph:
     """Build a connected graph of the requested shape.
 
     kind is one of "ring", "grid", "complete", "erdos_renyi".  A grid needs
-    rows*cols == n; erdos_renyi resamples up to 100 times until the
-    draw is connected, advancing the seed stream deterministically.
+    rows*cols == n; erdos_renyi resamples up to 100 times until the draw is
+    connected, attempt k drawing from RngStream(seed).child("erdos_renyi", k).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "ring":
         if n == 1:
             edges = set()
-        elif n == 2:
-            edges = {(0, 1)}
         else:
             edges = {_edge(i, (i + 1) % n) for i in range(n)}
     elif kind == "complete":
@@ -89,14 +89,8 @@ def build_graph(kind: str, n: int, rows: int | None = None, cols: int | None = N
     elif kind == "erdos_renyi":
         if p is None or not (0.0 <= p <= 1.0):
             raise ValueError("erdos_renyi requires edge probability p in [0,1]")
-        if seed is None:
-            seed = 0
-        # attempt k draws from a Philox keyed by the uint64 seed + k
-        if not 0 <= seed <= 2**64 - 100:
-            raise ValueError(f"seed must be in [0, 2**64 - 100], got {seed}")
         for attempt in range(100):
-            rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + attempt)))
-            mask = rng.random((n, n)) < p
+            mask = RngStream(seed).child("erdos_renyi", attempt).uniform((n, n)) < p
             edges = {(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]}
             if _connected(n, edges):
                 break

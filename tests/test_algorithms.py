@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledsim import (Driver, HyperParams, QuadraticProblem, RngStream,
-                    complete_mixing, synth_logistic)
+                    complete_mixing, quadratic_problem, synth_logistic)
 from ledsim.algorithms import (ALGORITHMS, CENTRALIZED, METHODS, GateState,
                                PrimalDualState, PrimalState, ScaffnewState,
                                TrackingState, consensus_sqrt,
@@ -406,6 +406,67 @@ def test_corrections_keep_their_node_sum(quad6_noisy, ring6, complete6, algo,
         corr = getattr(state, name)
         scale = np.abs(corr).sum(axis=-2).max()
         assert np.abs(corr.sum(axis=-2) - start).max() <= 1e-12 * scale, r
+
+
+# the optimal correction of each corrected method: its field and its value
+# from alpha, the HyperParams and g_i = grad f_i(x*); None for the
+# uncorrected methods
+_OPTIMAL = {
+    "led": ("y", lambda a, h, g: -(a / h.beta_eff) * g),
+    "led1": ("y", lambda a, h, g: -a * g),  # led1 takes an unset beta as 1
+    "pdfp2o": ("y", lambda a, h, g: -(a / h.eta_pd) * g),
+    "scaffnew": ("z", lambda a, h, g: -g),
+    "kgt": ("c", lambda a, h, g: -g),
+    "scaffold": ("c", lambda a, h, g: g),
+    "fedgate": ("y", lambda a, h, g: -h.tau * a * g),
+    "vrl_sgd": ("y", lambda a, h, g: -h.tau * a * g),
+    "led_server": ("y", lambda a, h, g: -(a / h.beta_eff) * g),
+    "dsgd": None, "local_dsgd": None, "local_sgd": None,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(algo=st.sampled_from(sorted(_OPTIMAL)), seed=st.integers(0, 2**32),
+       tau=st.integers(1, 4), alpha=st.floats(0.01, 0.2),
+       complete=st.booleans(), p=st.sampled_from([0.5, 1.0]),
+       eta=st.sampled_from([0.5, 1.0]), lanes=st.integers(0, 3))
+def test_corrected_methods_stay_at_the_optimum(ring6, complete6, algo, seed,
+                                               tau, alpha, complete, p, eta,
+                                               lanes):
+    # started at x* from its optimal correction, each corrected method stays
+    # there on an exact heterogeneous quadratic; an uncorrected method stays
+    # only when it takes one local step per round on the complete graph.
+    # lanes >= 1 steps (L, N, m) states with an (L, 1, 1) alpha
+    problem = quadratic_problem(6, 3, mu=0.3, lip=1.0, heterogeneity=1.0,
+                                seed=seed)
+    w = complete6 if complete or METHODS[algo].centralized else ring6
+    x0 = np.tile(problem.x_star, (6, 1))
+    g = problem.grads(x0)
+    runs = [0]
+    if lanes:
+        x0 = np.stack([x0] * lanes)
+        alpha = alpha * np.array([1.0, 0.7, 0.4])[:lanes, None, None]
+        runs = [0, 0, 1][:lanes]
+    h = HyperParams(alpha=alpha, tau=tau, p=p, eta_pd=eta)
+    driver = Driver(algo, problem, w, h)
+    state = driver.init(x0)
+    if _OPTIMAL[algo] is not None:
+        name, optimal = _OPTIMAL[algo]
+        corr = np.zeros_like(getattr(state, name)) + optimal(alpha, h, g)
+        state = replace(state, **{name: corr})
+        if algo == "scaffold":
+            state = replace(state, c_bar=corr.mean(axis=-2))
+    start = state
+    stream = RngStream.for_runs(seed, runs)
+    for r in range(20):
+        state = driver.step(state, stream.child("round", r)).state
+    moved = max(np.abs(getattr(state, f.name) - getattr(start, f.name)).max()
+                for f in fields(state))
+    if _OPTIMAL[algo] is not None or (
+            w is complete6 and (tau == 1 or algo == "dsgd")):
+        assert moved <= 1e-12
+    else:
+        assert moved > 1e-8
 
 
 # ---------------------------------------------------------------------------

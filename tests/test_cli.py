@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ledsim import cli, harness
+from ledsim import topology as topo
 from ledsim.cli import COMMANDS, KNOWN_KEYS, ConfigError, main, parse_config_file
 
 
@@ -162,17 +163,26 @@ def test_erdos_renyi_that_never_connects_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])
-def test_a_negative_topology_seed_is_config_error(tmp_path, capsys, how):
-    # numpy used to raise OverflowError on the uint64 key
+def test_a_negative_topology_seed_is_read_as_given(tmp_path, capsys, how):
+    # any integer keys a draw; -1 used to fail the uint64 key's range check
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("topology.seed = -1\n")
     args = (["--seed", "-1", "spectra"] if how == "flag"
             else ["spectra", "--config", str(cfg)])
     code, out, err = _run(capsys, *args, "--graph", "erdos_renyi", "--n", "6",
                           "--p", "0.5")
-    assert code == 1 and out == ""
-    assert err.startswith("error: topology.seed must be in ")
-    assert len(err.splitlines()) == 1
+    assert code == 0 and err == ""
+    want = topo.metropolis_weights(
+        topo.build_graph("erdos_renyi", 6, p=0.5, seed=-1))
+    assert _parse_kv(out)["mixing_rate"] == repr(want.mixing_rate)
+    # a command that writes a CSV echoes the seed it read
+    cfg.write_text("topology.seed = -1\ntopology.p = 0.5\n")
+    out_path = tmp_path / "trace.csv"
+    code, _, err = _run(capsys, "--out", str(out_path), "run", "--config",
+                        str(cfg), "--algo", "led", *QUAD_ARGS,
+                        "--graph", "erdos_renyi")
+    assert code == 0 and err == ""
+    assert "topology.seed = -1" in _header(out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +356,26 @@ def test_header_lists_only_read_keys_and_warns_on_the_rest(tmp_path, capsys):
     assert not any(ln.startswith("algorithm.id") for ln in _header(out_path))
     assert "harness.target = 1e300" in _header(out_path)
     assert err == "warning: compare does not read 'algorithm.id'\n"
+
+
+@pytest.mark.parametrize("graph,read", [
+    ("ring", set()), ("grid", {"topology.rows", "topology.cols"}),
+    ("erdos_renyi", {"topology.p", "topology.seed"})])
+def test_a_graph_kind_reads_only_its_own_keys(tmp_path, capsys, graph, read):
+    # every kind used to read all four keys and echo them, unwarned
+    keys = {"topology.rows": 2, "topology.cols": 3, "topology.p": 0.9,
+            "topology.seed": 7}
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("".join(f"{key} = {val}\n" for key, val in keys.items()))
+    out_path = tmp_path / "trace.csv"
+    code, _, err = _run(capsys, "--out", str(out_path), "run", "--config",
+                        str(cfg), "--algo", "led", *QUAD_ARGS, "--graph", graph)
+    assert code == 0
+    assert err == "".join(f"warning: run does not read {key!r}\n"
+                          for key in sorted(keys.keys() - read))
+    header = dict(ln.split(" = ") for ln in _header(out_path))
+    assert {key: header[key] for key in keys if key in header} == {
+        key: str(keys[key]) for key in read}
 
 
 def test_analysis_forms_are_not_cli_methods(tmp_path, capsys):
@@ -553,7 +583,7 @@ def test_tune_and_compare_reject_a_bad_target(tmp_path, capsys, monkeypatch,
     ["run", "--algo", "led", *QUAD_ARGS],
     ["tune", "--algo", "led", *QUAD_ARGS],
     ["compare", "--algos", "led,kgt", *QUAD_ARGS]])
-@pytest.mark.parametrize("out", ["dir", "missing/x.csv"])
+@pytest.mark.parametrize("out", ["dir", "missing/x.csv", ""])
 def test_a_bad_out_fails_before_any_round(tmp_path, capsys, monkeypatch,
                                           command, out):
     # a directory used to end in a traceback, and a missing directory in

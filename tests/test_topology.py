@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ledsim import (Graph, MixingMatrix, build_graph, complete_mixing,
-                    lazy_transform, metropolis_weights,
+from ledsim import (Graph, MixingMatrix, RngStream, build_graph,
+                    complete_mixing, lazy_transform, metropolis_weights,
                     validate_combination_matrix)
 
 # frozen oracle values: dense symmetric eigensolver on the stated matrices
@@ -64,12 +64,30 @@ def test_erdos_renyi_impossible_fails_loudly():
         build_graph("erdos_renyi", 5, p=0.0, seed=0)
 
 
-def test_erdos_renyi_rejects_a_seed_its_key_cannot_hold():
-    # attempt k keys its Philox with the uint64 seed + k, k < 100
-    for seed in (-1, 2**64 - 99):
-        with pytest.raises(ValueError, match="^seed must be in "):
-            build_graph("erdos_renyi", 6, p=0.5, seed=seed)
-    assert build_graph("erdos_renyi", 6, p=0.5, seed=2**64 - 100).n_nodes == 6
+def test_erdos_renyi_takes_any_integer_seed():
+    # attempt k used to key a Philox by the uint64 seed + k, which held
+    # neither a negative seed nor one past 2**64 - 100
+    for seed in (-1, 2**64 - 99, 2**70):
+        g = build_graph("erdos_renyi", 6, p=0.5, seed=seed)
+        assert g == build_graph("erdos_renyi", 6, p=0.5, seed=seed)
+
+
+@pytest.mark.parametrize("n,p,seed", [
+    (6, 0.5, 0), (6, 0.5, -1), (12, 0.3, 2), (9, 0.2, 2**70), (20, 0.15, 7)])
+def test_erdos_renyi_draws_from_its_keyed_stream(n, p, seed):
+    # attempt k is the mask of RngStream(seed).child("erdos_renyi", k), and
+    # the first connected attempt is the graph
+    for k in range(100):
+        mask = RngStream(seed).child("erdos_renyi", k).generator().random(
+            (n, n)) < p
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n)
+                 if mask[i, j]}
+        try:
+            want = Graph(n, frozenset(edges))
+        except ValueError:
+            continue
+        break
+    assert build_graph("erdos_renyi", n, p=p, seed=seed) == want
 
 
 def test_disconnected_graph_rejected():
