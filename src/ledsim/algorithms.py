@@ -491,7 +491,6 @@ METHODS = {
 }
 
 ALGORITHMS = tuple(METHODS)
-CENTRALIZED = frozenset(a for a, spec in METHODS.items() if spec.centralized)
 
 
 def method(algo: str, w: MixingMatrix) -> MethodSpec:

@@ -76,8 +76,12 @@ class Trace:
 
     def vectors_at_round(self, r: int) -> float:
         """The run average of vectors per link sent by round r, exactly: an
-        int when integral, a float when random skips make it fractional."""
-        v = float(self.vectors_per_link[np.searchsorted(self.rounds, r)])
+        int when integral, a float when random skips make it fractional;
+        ValueError for a round that was not recorded."""
+        i = np.searchsorted(self.rounds, r)
+        if i == len(self.rounds) or self.rounds[i] != r:
+            raise ValueError(f"round {r} was not recorded")
+        v = float(self.vectors_per_link[i])
         return int(v) if v.is_integer() else v
 
 
@@ -92,13 +96,13 @@ LANE_BYTES = 8 << 20
 
 def _known_above(g, done: float, num_runs: int, target: float) -> bool:
     """Whether a slot's run average of grad_norm_sq is known to exceed target,
-    from the finished runs' sum `done` and the live lanes' g (a float, or
-    one per lane in run order).  Errors are >= 0 and the average adds every
+    from the finished runs' sum `done` and the live lanes' g (a numpy float,
+    or one per lane in run order).  Errors are >= 0 and the average adds every
     run's value in run order, so done plus g in run order is at most its
     sum, rounding included; identical runs average to themselves, hence the
     check of g alone."""
     # cumsum adds in order
-    return (np.max(g) > target
+    return (g.max() > target
             and np.cumsum(np.append(done, g))[-1] / num_runs > target)
 
 
@@ -129,8 +133,8 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
     width = np.full(len(points), len(recorded))
     # the lanes still in the batch; a slice writes faster than indices
     live = slice(None)
-    # a vector count, or one per lane when runs skip links at random
-    cum_vectors = 0
+    # one per lane: runs may skip links at random
+    cum_vectors = np.zeros(len(points))
     done = 0
     for slot, until in enumerate(recorded):
         for r in range(done, until):
@@ -143,8 +147,8 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
         xbar = np.add.reduce(xmat, axis=-2) / problem.n_nodes
         g = problem.global_grad_norm_sq(xbar)
         finite = g <= DIVERGENCE_LIMIT   # False for inf and NaN
-        if not np.all(finite):
-            if not np.any(finite):
+        if not finite.all():
+            if not finite.any():
                 width[live] = slot
                 break
             live = np.arange(len(points))[live]
@@ -154,8 +158,7 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
                                   for f in fields(state)))
             driver.h = replace(driver.h, alpha=driver.h.alpha[finite])
             stream = RngStream.for_runs(cfg.base_seed, runs[live])
-            if np.ndim(cum_vectors):
-                cum_vectors = cum_vectors[finite]
+            cum_vectors = cum_vectors[finite]
         dev = xmat - xbar[..., None, :]
         block[live, 0, slot] = g
         block[live, 1, slot] = (np.add.reduce(dev * dev, axis=(-2, -1))
@@ -230,6 +233,8 @@ class _Pool:
         self._executor = None
 
     def map(self, *args):
+        if self.jobs == 1:
+            return map(*args)
         if self._executor is None:
             # imported here: concurrent.futures.process adds about 2 MB to
             # every process that imports ledsim, and most runs never start one
@@ -253,12 +258,9 @@ def _run(cfg: ExperimentConfig, hypers: list, pool: _Pool,
     k = pool.jobs
     shares = [range(i * cfg.num_runs // k, (i + 1) * cfg.num_runs // k)
               for i in range(k)]
-    if k == 1:
-        per_share = [_run_share(cfg, hypers, shares[0], prune_at)]
-    else:
-        # one task per worker, so each receives the config once
-        per_share = list(pool.map(_run_share, [cfg] * k, [hypers] * k,
-                                  shares, [prune_at] * k))
+    # one task per worker, so each receives the config once
+    per_share = list(pool.map(_run_share, [cfg] * k, [hypers] * k, shares,
+                              [prune_at] * k))
     if any(blocks is None for blocks in per_share):
         return None
     return [[block for blocks in per_share for block in blocks[i]]

@@ -120,16 +120,15 @@ class Problem:
         if self.sigma > 0:
             if stream is None:
                 raise ValueError("sigma > 0 requires a random stream")
-            g = g + self.sigma * stream.normal((self.n_nodes, self.dim))
+            g = g + stream.normal((self.n_nodes, self.dim), self.sigma)
         return g
 
     def global_grad_norm_sq(self, x_bar: np.ndarray) -> float:
-        """||(1/N) sum_i grad f_i(x_bar)||^2, the error criterion: a float,
-        or one per batch slice."""
+        """||(1/N) sum_i grad f_i(x_bar)||^2, the error criterion: a numpy
+        float, or one per batch slice."""
         # add.reduce is what mean and sum call, without their dispatch
         g = np.add.reduce(self.grads_at(x_bar), axis=-2) / self.n_nodes
-        norm_sq = np.add.reduce(g * g, axis=-1)
-        return float(norm_sq) if norm_sq.ndim == 0 else norm_sq
+        return np.add.reduce(g * g, axis=-1)
 
     def heterogeneity_at(self, x: np.ndarray) -> float:
         """(1/N) sum_i ||grad f_i(x) - grad f(x)||^2."""
@@ -271,11 +270,9 @@ class QuadraticProblem(Problem):
 
     def _mean_value(self, x: np.ndarray) -> float:
         # (1/N) sum_i f_i(x) = 0.5 x^T a_bar x - b_bar^T x, by a gemv and a
-        # dot; a batch stacks each point as a (1, m) row and an (m, 1)
-        # column, which matmul takes to the same gemv and dots per point,
-        # never a gemm (x @ b_bar would be a gemv)
-        if x.ndim == 1:
-            return float(0.5 * x @ self.a_bar @ x - self.b_bar @ x)
+        # dot; each point, a lone one too, is stacked as a (1, m) row and an
+        # (m, 1) column, which matmul takes to the same gemv and dot per
+        # point, never a gemm (x @ b_bar would be a gemv)
         col = x[..., :, None]
         return ((0.5 * x[..., None, :] @ self.a_bar @ col)[..., 0, 0]
                 - (self.b_bar @ col)[..., 0])

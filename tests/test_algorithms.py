@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ledsim import (Driver, HyperParams, QuadraticProblem, RngStream,
                     complete_mixing, quadratic_problem, synth_logistic)
-from ledsim.algorithms import (ALGORITHMS, CENTRALIZED, METHODS, GateState,
+from ledsim.algorithms import (ALGORITHMS, METHODS, GateState,
                                PrimalDualState, PrimalState, ScaffnewState,
                                TrackingState, consensus_sqrt,
                                ed_eliminated_step, ed_init, fedgate_round,
@@ -469,6 +469,44 @@ def test_corrected_methods_stay_at_the_optimum(ring6, complete6, algo, seed,
         assert moved > 1e-8
 
 
+# the centroid moves by -s * alpha * sum_t grad_ledger_t, where s is the
+# server relaxation: alpha * gamma for fedgate, gamma for led_server, and 1
+# otherwise (vrl_sgd is fedgate with alpha * gamma = 1)
+_RELAXATION = {"fedgate": lambda h: h.alpha * h.gamma,
+               "led_server": lambda h: h.gamma}
+
+
+@settings(max_examples=80, deadline=None)
+@given(algo=st.sampled_from(ALGORITHMS), seed=st.integers(0, 2**32),
+       tau=st.integers(1, 4), alpha=st.floats(0.01, 0.2),
+       gamma=st.floats(0.5, 2.0), complete=st.booleans(),
+       p=st.sampled_from([0.5, 1.0]), lanes=st.integers(0, 3))
+def test_centroid_replays_from_the_gradient_ledger(quad6_noisy, ring6,
+                                                   complete6, algo, seed, tau,
+                                                   alpha, gamma, complete, p,
+                                                   lanes):
+    # each round, on a noisy quadratic; lanes >= 1 steps (L, N, m) states
+    # with an (L, 1, 1) alpha on the streams of runs 0, 0, 1
+    w = complete6 if complete or METHODS[algo].centralized else ring6
+    x0 = np.random.default_rng(seed).normal(size=(6, 4))
+    runs = [0]
+    if lanes:
+        x0 = np.stack([x0 + k for k in range(lanes)])
+        alpha = alpha * np.array([1.0, 0.7, 0.4])[:lanes, None, None]
+        runs = [0, 0, 1][:lanes]
+    h = HyperParams(alpha=alpha, gamma=gamma, tau=tau, p=p)
+    driver = Driver(algo, quad6_noisy, w, h)
+    step = alpha * _RELAXATION.get(algo, lambda h: 1.0)(h)
+    stream = RngStream.for_runs(seed, runs)
+    state = driver.init(x0)
+    xbar = driver.positions(state).mean(axis=-2)
+    for r in range(20):
+        out = driver.step(state, stream.child("round", r))
+        replay = xbar - (step * out.grad_ledger).sum(axis=-2)
+        state, xbar = out.state, driver.positions(out.state).mean(axis=-2)
+        assert np.abs(xbar - replay).max() <= 1e-12, r
+
+
 # ---------------------------------------------------------------------------
 # hyperparameters, accounting, driver
 # ---------------------------------------------------------------------------
@@ -531,7 +569,7 @@ def test_communication_accounting_matches_costs(quad6, ring6, complete6):
     h = HyperParams(alpha=0.05, tau=2)
     one_vector = {"led", "led1", "pdfp2o", "dsgd", "local_dsgd", "scaffnew"}
     for algo in ALGORITHMS:
-        w = complete6 if algo in CENTRALIZED else ring6
+        w = complete6 if METHODS[algo].centralized else ring6
         d = Driver(algo, quad6, w, h)
         out = d.step(d.init(np.zeros((6, 4))), RngStream(0).child("r", 0))
         expect = 1 if algo in one_vector or algo in (
@@ -556,7 +594,7 @@ def test_driver_rejects_unknown_and_incompatible(quad6, quad6_noisy, ring6):
 
 def test_driver_positions_shape(quad6, ring6, complete6):
     for algo in ALGORITHMS:
-        w = complete6 if algo in CENTRALIZED else ring6
+        w = complete6 if METHODS[algo].centralized else ring6
         d = Driver(algo, quad6, w, HyperParams(alpha=0.01, tau=2))
         pos = d.positions(d.init(np.zeros((6, 4))))
         assert pos.shape == (6, 4), algo
@@ -569,7 +607,7 @@ def test_stacked_states_step_as_separate_states(algo, quad6_noisy, ring6,
     # unshared state; p = 0.5 makes scaffnew flip its coins
     logistic = synth_logistic(SynthConfig(n_nodes=6, dim=4, n_samples=50,
                                           sigma=0.05), seed=7)
-    w = complete6 if algo in CENTRALIZED else ring6
+    w = complete6 if METHODS[algo].centralized else ring6
     alphas = np.array([0.02, 0.05, 0.1, 0.2, 0.3, 0.4])
     h = HyperParams(alpha=0.1, tau=2, p=0.5)
     x0 = np.random.default_rng(5).normal(size=(6, 4))

@@ -130,6 +130,14 @@ def test_cadence_thins_recording():
     assert np.all(np.isfinite(trace.grad_norm_sq))
 
 
+@pytest.mark.parametrize("r", [-1, 1, 4, 7, 100])
+def test_vectors_at_an_unrecorded_round_is_refused(r):
+    trace = run_experiment(_cfg(rounds=6, cadence=3))
+    assert [trace.vectors_at_round(k) for k in (0, 3, 6)] == [0, 3, 6]
+    with pytest.raises(ValueError, match=f"^round {r} was not recorded"):
+        trace.vectors_at_round(r)
+
+
 def test_divergence_flagged_and_truncated():
     cfg = _cfg(hyper=HyperParams(alpha=10.0, tau=2), rounds=200)
     trace = run_experiment(cfg)
