@@ -364,26 +364,24 @@ def k_gt_round(state: TrackingState, problem: Problem, w: MixingMatrix,
 @dataclass(frozen=True)
 class ScaffoldState:
     x: np.ndarray       # (..., m) shared server iterate
-    c: np.ndarray       # (..., N, m) per-node controls
-    c_bar: np.ndarray   # (..., m) server control
+    c: np.ndarray       # (..., N, m) node controls; their mean is c_bar
 
 
 def scaffold_round(state: ScaffoldState, problem: Problem, alpha: float,
                    tau: int, stream: Optional[RngStream] = None) -> RoundOutput:
     """Control-variate local steps with full participation, server stepsize 1.
 
-    Controls refresh from the realized local progress:
-    c_i+ = c_i - c_bar + (x - phi_i_tau) / (tau alpha).
+    Controls refresh from the realized local progress, c_bar the server
+    control: c_i+ = c_i - c_bar + (x - phi_i_tau) / (tau alpha).
     """
     # x[..., None, :] puts a shared vector against the node axis
-    x, c_bar = state.x[..., None, :], state.c_bar[..., None, :]
+    x, c_bar = state.x[..., None, :], state.c.mean(axis=-2, keepdims=True)
     start = np.broadcast_to(x, state.c.shape).copy()
     phi, ledger = _local_pass(problem, start, alpha * (c_bar - state.c),
                               alpha, tau, stream)
     x_new = phi.mean(axis=-2)
     c_new = state.c - c_bar + (x - phi) / (tau * alpha)
-    new = ScaffoldState(x_new, c_new, c_new.mean(axis=-2))
-    return RoundOutput(new, ledger, 2)
+    return RoundOutput(ScaffoldState(x_new, c_new), ledger, 2)
 
 
 @dataclass(frozen=True)
@@ -474,8 +472,7 @@ METHODS = {
     "kgt": MethodSpec(_zero_init(TrackingState), lambda s, p, w, h, r:
                       k_gt_round(s, p, w, h.alpha, h.tau, r)),
     "scaffold": MethodSpec(
-        lambda x0, p, w, h: ScaffoldState(x0.mean(axis=-2), np.zeros_like(x0),
-                                          np.zeros_like(x0[..., 0, :])),
+        lambda x0, p, w, h: ScaffoldState(x0.mean(axis=-2), np.zeros_like(x0)),
         lambda s, p, w, h, r: scaffold_round(s, p, h.alpha, h.tau, r),
         centralized=True, shared=True),
     "local_sgd": MethodSpec(lambda x0, p, w, h: PrimalState(x0), lambda s, p, w, h, r:

@@ -151,7 +151,8 @@ def build_problem(cfg: dict):
             heterogeneity=_get(cfg, "problem.heterogeneity", float, 1.0),
             seed=seed,
             sigma=_get(cfg, "problem.sigma", float, 0.0))
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    raise ConfigError(f"unknown problem kind {kind!r}: 'problem.kind' is "
+                      "logistic or quadratic")
 
 
 def build_hyper(cfg: dict) -> HyperParams:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
@@ -221,45 +222,34 @@ def _run_share(cfg: ExperimentConfig, hypers: list, runs: range,
     return blocks
 
 
-class _Pool:
-    """The workers of one run_experiment or tune_to_target call on cfg:
-    min(jobs, num_runs) of them, in one process pool started when first
-    needed, or this process alone."""
-
-    def __init__(self, cfg: ExperimentConfig, jobs: int):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = min(jobs, cfg.num_runs)
-        self._executor = None
-
-    def map(self, *args):
-        if self.jobs == 1:
-            return map(*args)
-        if self._executor is None:
-            # imported here: concurrent.futures.process adds about 2 MB to
-            # every process that imports ledsim, and most runs never start one
-            from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor.map(*args)
-
-    def __enter__(self) -> "_Pool":
-        return self
-
-    def __exit__(self, *exc):
-        if self._executor is not None:
-            self._executor.shutdown()
+@contextmanager
+def _pool(cfg: ExperimentConfig, jobs: int):
+    """The workers of one run_experiment or tune_to_target call on cfg, as
+    (k, map): k = min(jobs, num_runs) processes of one pool, or this process
+    alone with the builtin map."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    k = min(jobs, cfg.num_runs)
+    if k == 1:
+        yield k, map
+        return
+    # imported here: concurrent.futures.process adds about 2 MB to every
+    # process that imports ledsim, and most runs never start one
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=k) as executor:
+        yield k, executor.map
 
 
-def _run(cfg: ExperimentConfig, hypers: list, pool: _Pool,
+def _run(cfg: ExperimentConfig, hypers: list, pool: tuple,
          prune_at: Optional[tuple] = None) -> Optional[list]:
     """Every point's runs' metrics blocks in run order, from one _run_share
-    per contiguous share of the runs, pool.jobs shares in all; None once
-    pruned."""
-    k = pool.jobs
+    per contiguous share of the runs, k shares in all for pool = (k, map);
+    None once pruned."""
+    k, pool_map = pool
     shares = [range(i * cfg.num_runs // k, (i + 1) * cfg.num_runs // k)
               for i in range(k)]
     # one task per worker, so each receives the config once
-    per_share = list(pool.map(_run_share, [cfg] * k, [hypers] * k, shares,
+    per_share = list(pool_map(_run_share, [cfg] * k, [hypers] * k, shares,
                               [prune_at] * k))
     if any(blocks is None for blocks in per_share):
         return None
@@ -301,7 +291,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Trace:
     split into min(jobs, num_runs) contiguous shares, each run in order by
     one process.
     """
-    with _Pool(cfg, jobs) as pool:
+    with _pool(cfg, jobs) as pool:
         return _trace(cfg, _run(cfg, [cfg.hyper], pool)[0])
 
 
@@ -323,7 +313,6 @@ class GridPoint:
 class TuneResult:
     best: Optional[HyperParams]
     points: tuple
-    target: float
     # the trace the tuner ran at `best`; None when the target was not reached
     best_trace: Optional[Trace] = field(default=None, compare=False, repr=False)
 
@@ -370,7 +359,7 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     # largest alpha first: the incumbent's round drops early, so pruning cuts
     # sooner, and a later point that ties it has the smaller alpha
     order = sorted(range(len(hypers)), key=lambda i: -hypers[i].alpha)
-    with _Pool(cfg, jobs) as pool:
+    with _pool(cfg, jobs) as pool:
         for group in [[i] for i in order] if prune else [order]:
             prune_at = None if best[0] is None else (target, best[0])
             blocks = _run(cfg, [hypers[i] for i in group], pool, prune_at)
@@ -384,8 +373,7 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
                 points[i] = GridPoint(hp.alpha, rtt, trace.diverged)
                 if rtt is not None and (best[0] is None or rtt < best[0]):
                     best = (rtt, hp, trace)
-    return TuneResult(best=best[1], points=tuple(points), target=target,
-                      best_trace=best[2])
+    return TuneResult(best=best[1], points=tuple(points), best_trace=best[2])
 
 
 @dataclass(frozen=True)

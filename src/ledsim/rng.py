@@ -87,11 +87,15 @@ class RngStream:
         return RngStream(self.seed, self.path + labels, self.runs, self.lanes)
 
     def generator(self) -> np.random.Generator:
-        """A fresh Generator keyed by sha256(seed, path).
+        """A fresh Generator keyed by sha256(seed, path); ValueError for a
+        lane stream, whose runs each have their own.
 
         Calling this twice on the same stream returns identical generators;
         the stream is a pure address, not a stateful source.
         """
+        if self.runs is not None:
+            raise ValueError(f"{self!r} is a lane stream; take generator() "
+                             "of one run's stream")
         return np.random.Generator(np.random.Philox(
             key=np.frombuffer(_digest(self.seed, self.path), dtype=np.uint64)))
 
@@ -126,4 +130,5 @@ class RngStream:
         return self._draw("random", size)
 
     def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, path={self.path}, runs={self.runs})"
+        return (f"RngStream(seed={self.seed}, path={self.path}, "
+                f"runs={self.runs}, lanes={self.lanes})")

@@ -211,6 +211,18 @@ def test_scaffnew_rejects_bad_mix_weight(quad6, ring6):
         scaffnew_round(st, quad6, ring6, alpha=0.5, zeta=3.0, p=0.5)
 
 
+@pytest.mark.parametrize("lanes", [0, 2])
+def test_scaffnew_coin_flip_without_a_stream_is_refused(quad6, ring6, lanes):
+    # lanes = 0 steps (N, m) states, lanes = 2 (L, N, m) states with an
+    # (L, 1, 1) alpha
+    shape, alpha = (6, 4), 0.1
+    if lanes:
+        shape, alpha = (lanes, 6, 4), np.array([0.1, 0.05])[:, None, None]
+    st = ScaffnewState(x=np.zeros(shape), z=np.zeros(shape))
+    with pytest.raises(ValueError, match="p < 1 requires a stream"):
+        scaffnew_round(st, quad6, ring6, alpha, 1.0, 0.5)
+
+
 def test_scaffnew_skipped_round_is_free(quad6, ring6):
     p_comm = 0.3
     st = ScaffnewState(x=np.random.default_rng(8).normal(size=(6, 4)),
@@ -304,7 +316,7 @@ def test_kgt_tau1_matches_classical_tracking(quad6, ring6):
 def test_scaffold_zero_controls_tau1_is_averaged_sgd(quad6):
     from ledsim.algorithms import ScaffoldState
     x0 = np.array([0.5, -0.5, 1.0, 0.0])
-    st = ScaffoldState(x=x0, c=np.zeros((6, 4)), c_bar=np.zeros(4))
+    st = ScaffoldState(x=x0, c=np.zeros((6, 4)))
     out = scaffold_round(st, quad6, 0.1, 1)
     expect = (x0 - 0.1 * quad6.grads_at(x0)).mean(axis=0)
     assert np.allclose(out.state.x, expect, atol=1e-14)
@@ -316,7 +328,7 @@ def test_scaffold_identical_nodes_match_local_sgd():
     # shared iterate follows plain averaged local SGD
     p = QuadraticProblem(np.eye(2), np.tile([1.0, 0.0], (5, 1)))
     from ledsim.algorithms import ScaffoldState
-    st = ScaffoldState(x=np.zeros(2), c=np.zeros((5, 2)), c_bar=np.zeros(2))
+    st = ScaffoldState(x=np.zeros(2), c=np.zeros((5, 2)))
     xc = np.zeros(2)
     for _ in range(20):
         st = scaffold_round(st, p, 0.2, 3).state
@@ -372,10 +384,9 @@ def test_led_server_large_gamma_keeps_dual_sum(quad6_noisy):
 
 
 # the correction whose node sum each corrected method keeps at its start;
-# scaffold's controls do not keep theirs, and its server control is their mean
+# scaffold's controls do not keep theirs
 _CONSERVED = {"led": "y", "led1": "y", "pdfp2o": "y", "fedgate": "y",
-              "vrl_sgd": "y", "led_server": "y", "scaffnew": "z", "kgt": "c",
-              "scaffold": None}
+              "vrl_sgd": "y", "led_server": "y", "scaffnew": "z", "kgt": "c"}
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,12 +408,9 @@ def test_corrections_keep_their_node_sum(quad6_noisy, ring6, complete6, algo,
     stream = RngStream.for_runs(seed, runs)
     state = driver.init(x0)
     name = _CONSERVED[algo]
-    start = None if name is None else getattr(state, name).sum(axis=-2)
+    start = getattr(state, name).sum(axis=-2)
     for r in range(10):
         state = driver.step(state, stream.child("round", r)).state
-        if name is None:
-            assert np.array_equal(state.c_bar, state.c.mean(axis=-2))
-            continue
         corr = getattr(state, name)
         scale = np.abs(corr).sum(axis=-2).max()
         assert np.abs(corr.sum(axis=-2) - start).max() <= 1e-12 * scale, r
@@ -454,8 +462,6 @@ def test_corrected_methods_stay_at_the_optimum(ring6, complete6, algo, seed,
         name, optimal = _OPTIMAL[algo]
         corr = np.zeros_like(getattr(state, name)) + optimal(alpha, h, g)
         state = replace(state, **{name: corr})
-        if algo == "scaffold":
-            state = replace(state, c_bar=corr.mean(axis=-2))
     start = state
     stream = RngStream.for_runs(seed, runs)
     for r in range(20):

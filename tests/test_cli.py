@@ -562,6 +562,24 @@ def test_run_rejects_a_bad_problem_config(tmp_path, capsys, monkeypatch, args,
     assert not (tmp_path / "x.csv").exists() and not runs
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--problem-kind", "foo"],
+     "unknown problem kind 'foo': 'problem.kind' is logistic or quadratic"),
+    (["--config", "nodes.cfg", "--n", "6"],
+     "problem.n_nodes must match topology.n")], ids=["kind", "n_nodes"])
+def test_run_rejects_a_bad_problem_kind_or_node_count(tmp_path, capsys,
+                                                      monkeypatch, args,
+                                                      message):
+    (tmp_path / "nodes.cfg").write_text("problem.n_nodes = 5\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, "--out", "x.csv", "run", "--algo", "led",
+                          "--graph", "ring", "--rounds", "5", "--runs", "1",
+                          *args)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["tune", "--algo", "led"],
                                      ["compare", "--algos", "led,kgt"]])
 @pytest.mark.parametrize("target", ["nan", "-0.001"])

@@ -1,6 +1,7 @@
 """Experiment runner: averaging, determinism, tuning, floors, serialization."""
 
 import concurrent.futures
+import multiprocessing
 import pickle
 import random
 from dataclasses import fields, replace
@@ -634,6 +635,21 @@ def test_tune_raises_a_runtime_error_from_a_step(monkeypatch):
         tune_to_target(_cfg(), 1e-4, alphas=[0.1])
 
 
+def test_a_step_error_in_a_worker_propagates_and_ends_the_pool(monkeypatch):
+    # the workers fork after the patch, so each of them raises
+    def fail(self, state, stream):
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(algorithms.Driver, "step", fail)
+    cfg = _cfg(num_runs=4)
+    with pytest.raises(RuntimeError, match="step failed"):
+        run_experiment(cfg, jobs=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(RuntimeError, match="step failed"):
+        tune_to_target(cfg, 1e-4, alphas=[0.1, 0.05], jobs=2)
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # the run axis: a share's runs after its first step as one batch of lanes
 # ---------------------------------------------------------------------------
@@ -643,7 +659,7 @@ def _assert_runs_equal_solo_runs(cfg, alphas, jobs=1):
     is bitwise the block its run gets from a share of its own; returns the
     blocks."""
     hypers = [replace(cfg.hyper, alpha=a) for a in alphas]
-    with harness._Pool(cfg, jobs) as pool:
+    with harness._pool(cfg, jobs) as pool:
         blocks = harness._run(cfg, hypers, pool)
     for run in range(cfg.num_runs):
         solo = harness._run_share(cfg, hypers, range(run, run + 1), None)

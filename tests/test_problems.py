@@ -352,6 +352,20 @@ def test_quadratic_infeasible_spectrum_rejected():
                          np.zeros((2, 2)))  # asymmetric Hessian
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: NodeDataset(np.zeros(3), np.ones(3)), "nonempty S x m matrix"),
+    (lambda: NodeDataset(np.zeros((0, 2)), np.ones(0)), "nonempty S x m matrix"),
+    (lambda: QuadraticProblem(np.zeros((2, 2)), np.zeros((3, 2))),
+     "aggregate Hessian must be positive definite"),
+    (lambda: QuadraticProblem(np.array([np.diag([2.0, 1.0]), np.diag([-1.0, 1.0])]),
+                              np.zeros((2, 2))),
+     "every per-node Hessian must be PSD")],
+    ids=["features_1d", "no_samples", "aggregate_singular", "node_indefinite"])
+def test_malformed_data_or_hessians_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan"), float("inf")])
 def test_both_families_reject_a_bad_sigma(small_logistic, bad):
     # a negative or NaN sigma used to run on exact gradients, since

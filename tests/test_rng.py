@@ -1,6 +1,7 @@
 """Path-addressed stream contract: reproducible, order-independent, disjoint."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,19 @@ def test_for_runs_keys_numpy_run_indices_as_python_ints():
     for lane, run in enumerate(lane_runs.tolist()):
         own = RngStream(1).child("run", run, "round", 5)
         assert draws[lane].tobytes() == own.normal(2).tobytes()
+
+
+def test_generator_refuses_a_lane_stream():
+    # a lane stream has one generator per run, none of them that of its bare
+    # (seed, path)
+    lanes = RngStream.for_runs(1, [0, 2]).child("round", 5)
+    with pytest.raises(ValueError, match="lane stream"):
+        lanes.generator()
+    assert "lanes=None" in repr(lanes) and "runs=(0, 2)" in repr(lanes)
+    shared = RngStream.for_runs(1, [0, 2, 2])
+    assert "lanes=[0 1 1]" in repr(shared)
+    with pytest.raises(ValueError, match="lane stream"):
+        shared.generator()
 
 
 # literal keys and draws of the derivation sha256(repr((seed, path)))[:16]:

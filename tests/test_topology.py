@@ -100,6 +100,22 @@ def test_self_loop_rejected():
         Graph(3, frozenset({(0, 0), (0, 1), (1, 2)}))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Graph(0, frozenset()), "graph needs at least one node"),
+    (lambda: Graph(3, frozenset({(0, 1), (1, 3)})), r"edge \(1,3\) out of range"),
+    (lambda: Graph(3, frozenset({(-1, 0), (0, 1)})), r"edge \(-1,0\) out of range"),
+    (lambda: build_graph("ring", 0), "n must be >= 1"),
+    (lambda: build_graph("erdos_renyi", 5), r"p in \[0,1\]"),
+    (lambda: build_graph("erdos_renyi", 5, p=1.5), r"p in \[0,1\]"),
+    (lambda: MixingMatrix.from_dense(np.full((2, 3), 1 / 3)), "must be square"),
+    (lambda: MixingMatrix.from_dense(np.ones(1)), "must be square")],
+    ids=["no_nodes", "edge_past_n", "negative_edge", "ring_of_0", "er_no_p",
+         "er_p_above_1", "matrix_not_square", "matrix_1d"])
+def test_malformed_graph_or_matrix_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_repeated_edge_rejected():
     # both orientations of one undirected edge would count it twice in
     # degrees and the Metropolis weights
