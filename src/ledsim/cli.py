@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import os
 import sys
@@ -27,22 +28,6 @@ from .problems import SynthConfig, quadratic_problem, synth_logistic
 class ConfigError(Exception):
     pass
 
-
-# config keys mirror the dataclass field names for greppability
-KNOWN_KEYS = {
-    "topology.graph", "topology.n", "topology.rows", "topology.cols",
-    "topology.p", "topology.seed", "topology.lazy",
-    "problem.kind", "problem.n_nodes", "problem.dim", "problem.n_samples",
-    "problem.reg", "problem.sigma_u", "problem.sigma_h", "problem.sigma",
-    "problem.feature_scale", "problem.mu", "problem.lip",
-    "problem.heterogeneity", "problem.seed",
-    "algorithm.id",
-    "hyperparameters.alpha", "hyperparameters.beta", "hyperparameters.gamma",
-    "hyperparameters.tau", "hyperparameters.p", "hyperparameters.zeta",
-    "hyperparameters.eta_pd",
-    "harness.rounds", "harness.num_runs", "harness.base_seed",
-    "harness.cadence", "harness.target",
-}
 
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
@@ -104,20 +89,36 @@ def _get(cfg: _Config, key: str, cast, default=...):
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
-def _fields(cfg: dict, section: str, cls) -> dict:
-    """Read section.<name> for each field of dataclass cls, with the field's
-    default as default and the default's type as cast; a field whose
-    default is None (unset) is an optional float."""
-    return {f.name: _get(cfg, f"{section}.{f.name}",
-                         float if f.default is None else type(f.default),
-                         f.default)
-            for f in dataclasses.fields(cls)}
+def _defaults(fn) -> dict:
+    """{name: default} for each parameter of fn (a dataclass too) with one."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+def _fields(cfg: dict, section: str, fn) -> dict:
+    """Read section.<name> for each of _defaults(fn), with the default's type
+    as cast; a default of None (unset) is an optional float."""
+    return {name: _get(cfg, f"{section}.{name}",
+                       float if default is None else type(default), default)
+            for name, default in _defaults(fn).items()}
 
 
 # the build_graph arguments each graph kind reads, as topology.<name> keys:
 # (name, cast, default); another kind's keys are set but not read
 _GRAPH_KEYS = {"grid": (("rows", int, None), ("cols", int, None)),
                "erdos_renyi": (("p", float, None), ("seed", int, 0))}
+
+# a config key names the parameter it sets; the keys that no signature
+# declares are listed by hand
+KNOWN_KEYS = {
+    "topology.graph", "topology.n", "topology.lazy", "problem.kind",
+    "problem.seed", "algorithm.id", "harness.rounds", "harness.num_runs",
+    "harness.base_seed", "harness.cadence", "harness.target",
+    *(f"topology.{name}" for kw in _GRAPH_KEYS.values() for name, _, _ in kw),
+    *(f"problem.{name}" for fn in (SynthConfig, quadratic_problem)
+      for name in _defaults(fn)),
+    *(f"hyperparameters.{name}" for name in _defaults(HyperParams)),
+}
 
 
 def build_mixing(cfg: dict) -> topo.MixingMatrix:
@@ -143,14 +144,8 @@ def build_problem(cfg: dict):
         return synth_logistic(SynthConfig(**_fields(cfg, "problem", SynthConfig)),
                               seed)
     if kind == "quadratic":
-        return quadratic_problem(
-            n_nodes=_get(cfg, "problem.n_nodes", int, 15),
-            dim=_get(cfg, "problem.dim", int, 5),
-            mu=_get(cfg, "problem.mu", float, 0.1),
-            lip=_get(cfg, "problem.lip", float, 1.0),
-            heterogeneity=_get(cfg, "problem.heterogeneity", float, 1.0),
-            seed=seed,
-            sigma=_get(cfg, "problem.sigma", float, 0.0))
+        return quadratic_problem(**_fields(cfg, "problem", quadratic_problem),
+                                 seed=seed)
     raise ConfigError(f"unknown problem kind {kind!r}: 'problem.kind' is "
                       "logistic or quadratic")
 

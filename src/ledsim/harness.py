@@ -31,8 +31,10 @@ class ExperimentConfig:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.rounds < 1 or self.num_runs < 1 or self.cadence < 1:
-            raise ValueError("rounds, num_runs, and cadence must be >= 1")
+        for name in ("rounds", "num_runs", "cadence"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)!r}")
         method(self.algorithm, self.mixing)
         shape = (self.problem.n_nodes, self.problem.dim)
         if self.mixing.n != shape[0]:

@@ -284,9 +284,9 @@ class QuadraticProblem(Problem):
         return float(np.linalg.eigvalsh(self.a)[:, -1].max())
 
 
-def quadratic_problem(n_nodes: int, dim: int, mu: float, lip: float,
-                      heterogeneity: float, seed: int,
-                      sigma: float = 0.0) -> QuadraticProblem:
+def quadratic_problem(n_nodes: int = 15, dim: int = 5, mu: float = 0.1,
+                      lip: float = 1.0, heterogeneity: float = 1.0,
+                      sigma: float = 0.0, *, seed: int) -> QuadraticProblem:
     """Random strongly convex quadratic suite with controlled heterogeneity.
 
     The aggregate Hessian gets eigenvalues spread over [mu, lip] exactly, in a

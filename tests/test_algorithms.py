@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ledsim import (Driver, HyperParams, QuadraticProblem, RngStream,
@@ -250,6 +250,38 @@ def test_scaffnew_dual_sum_conserved(quad6_noisy, ring6):
     assert 0.25 <= comms / 300 <= 0.55  # communication frequency near p
 
 
+@pytest.mark.parametrize("lanes", [0, 3])
+def test_scaffnew_relaxed_mix_with_an_explicit_zeta(quad6, ring6, lanes):
+    # an explicit zeta with alpha*zeta/p < 1 mixes x+ = (1 - c) phi + c W phi,
+    # c = alpha*zeta/p, and z+ = z + (p/alpha)(phi - x+); lanes = 3 steps
+    # (L, N, m) states at p < 1, where a lane whose coin says skip keeps phi
+    # and z
+    rng = np.random.default_rng(11)
+    shape = (lanes, 6, 4) if lanes else (6, 4)
+    x, z = rng.normal(size=shape), rng.normal(size=shape)
+    alpha, zeta, p, stream = 0.1, 4.0, 1.0, RngStream(0).child("round", 0)
+    if lanes:
+        alpha, zeta, p = np.array([0.1, 0.05, 0.02])[:, None, None], 2.0, 0.5
+        # a round whose coins both communicate and skip
+        for r in range(100):
+            stream = RngStream.for_runs(0, range(lanes)).child("round", r)
+            communicate = stream.child("comm").uniform() < p
+            if 0 < communicate.sum() < lanes:
+                break
+    out = scaffnew_round(ScaffnewState(x, z), quad6, ring6, alpha, zeta, p,
+                         stream)
+    c = alpha * zeta / p
+    assert np.all(c < 1)
+    phi = x - alpha * (quad6.grads(x) + z)
+    x_want = (1 - c) * phi + c * (ring6.w @ phi)
+    z_want = z + (p / alpha) * (phi - x_want)
+    if lanes:
+        lane = communicate[:, None, None]
+        x_want, z_want = np.where(lane, x_want, phi), np.where(lane, z_want, z)
+    assert np.abs(out.state.x - x_want).max() <= 1e-12
+    assert np.abs(out.state.z - z_want).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # uncorrected diffusion
 # ---------------------------------------------------------------------------
@@ -337,6 +369,27 @@ def test_scaffold_identical_nodes_match_local_sgd():
         assert np.max(np.abs(st.c - st.c[0])) <= 1e-14  # controls stay equal
         assert np.max(np.abs(st.x - xc)) <= 1e-12
     assert np.linalg.norm(st.x - np.array([1.0, 0.0])) <= 1e-5
+
+
+@pytest.mark.parametrize("alpha,tau", [(0.1, 4), (0.01, 3), (0.3, 1)])
+def test_scaffold_control_is_the_mean_sampled_gradient(quad6_noisy, alpha,
+                                                       tau):
+    # c_i+ = c_i - c_bar + (x - phi_i)/(tau alpha), and phi_i = x -
+    # alpha sum_t g_i,t - tau alpha (c_bar - c_i), so c_i+ is node i's mean
+    # sampled gradient (1/tau) sum_t g_i,t over the round, whatever c was
+    from ledsim.algorithms import ScaffoldState
+    rng = np.random.default_rng(12)
+    x, c = rng.normal(size=4), rng.normal(size=(6, 4))
+    stream = RngStream(6).child("round", 0)
+    out = scaffold_round(ScaffoldState(x, c), quad6_noisy, alpha, tau, stream)
+    # replay the local steps on the same stream
+    phi, g_sum = np.tile(x, (6, 1)), np.zeros((6, 4))
+    for t in range(tau):
+        g = quad6_noisy.sampled_grads(phi, stream.child("grad_noise", t))
+        g_sum += g
+        phi = phi - alpha * g - alpha * (c.mean(axis=0) - c)
+    scale = np.abs(x).max() / (tau * alpha) + np.abs(g_sum / tau).max()
+    assert np.abs(out.state.c - g_sum / tau).max() <= 1e-12 * scale
 
 
 def test_fedgate_single_node_dual_stays_zero():
@@ -475,6 +528,59 @@ def test_corrected_methods_stay_at_the_optimum(ring6, complete6, algo, seed,
         assert moved > 1e-8
 
 
+@settings(max_examples=80, deadline=None)
+@given(algo=st.sampled_from(sorted(_OPTIMAL)), seed=st.integers(0, 2**32),
+       tau=st.integers(1, 4), alpha=st.floats(0.01, 0.2),
+       complete=st.booleans(), p=st.sampled_from([0.5, 1.0]),
+       eta=st.sampled_from([0.5, 1.0]), lanes=st.integers(0, 3))
+def test_heterogeneity_does_not_enter_a_corrected_error(ring6, complete6, algo,
+                                                        seed, tau, alpha,
+                                                        complete, p, eta,
+                                                        lanes):
+    # on quadratics a corrected method's error (the state minus its optimum:
+    # x*, and the optimal correction) evolves by a recursion in A_i, W, the
+    # stepsizes and the noise alone; two problems with the same A_i and
+    # different b, stepped on one stream from one error, give one error
+    # trajectory.  An uncorrected method carries grad f_i(x*), which depends
+    # on b, except where it stays at x* (see above)
+    rng = np.random.default_rng(seed)
+    one = quadratic_problem(6, 3, mu=0.3, lip=1.0, heterogeneity=1.0,
+                            seed=seed, sigma=0.05)
+    two = QuadraticProblem(one.a, one.b + 3 * rng.normal(size=one.b.shape),
+                           sigma=0.05)
+    w = complete6 if complete or METHODS[algo].centralized else ring6
+    e0, d0 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    runs = [0]
+    if lanes:
+        e0, d0 = np.stack([e0 + k for k in range(lanes)]), np.stack([d0] * lanes)
+        alpha = alpha * np.array([1.0, 0.7, 0.4])[:lanes, None, None]
+        runs = [0, 0, 1][:lanes]
+    h = HyperParams(alpha=alpha, tau=tau, p=p, eta_pd=eta)
+    errors, scale = [], 1.0
+    for problem in (one, two):
+        driver = Driver(algo, problem, w, h)
+        state = driver.init(problem.x_star + e0)
+        optimum = {"x": problem.x_star}
+        if _OPTIMAL[algo] is not None:
+            name, optimal = _OPTIMAL[algo]
+            optimum[name] = optimal(alpha, h, problem.grads_at(problem.x_star))
+            state = replace(state, **{name: optimum[name] + d0})
+        scale = max(scale, *(np.abs(v).max() for v in optimum.values()))
+        stream = RngStream.for_runs(seed, runs)
+        trajectory = []
+        for r in range(20):
+            state = driver.step(state, stream.child("round", r)).state
+            trajectory.append([getattr(state, f.name) - optimum.get(f.name, 0.0)
+                               for f in fields(state)])
+        errors.append(trajectory)
+    gap = max(np.abs(a - b).max() for ra, rb in zip(*errors)
+              for a, b in zip(ra, rb))
+    if _OPTIMAL[algo] is not None:
+        assert gap <= 1e-11 * scale
+    elif not (w is complete6 and (tau == 1 or algo == "dsgd")):
+        assert gap > 1e-6
+
+
 # the centroid moves by -s * alpha * sum_t grad_ledger_t, where s is the
 # server relaxation: alpha * gamma for fedgate, gamma for led_server, and 1
 # otherwise (vrl_sgd is fedgate with alpha * gamma = 1)
@@ -483,6 +589,10 @@ _RELAXATION = {"fedgate": lambda h: h.alpha * h.gamma,
 
 
 @settings(max_examples=80, deadline=None)
+# scaffnew at p < 1 on three lanes of two runs: its coins differ between the
+# runs in some round, which takes the lane-skip branch
+@example(algo="scaffnew", seed=0, tau=2, alpha=0.1, gamma=1.0, complete=False,
+         p=0.5, lanes=3)
 @given(algo=st.sampled_from(ALGORITHMS), seed=st.integers(0, 2**32),
        tau=st.integers(1, 4), alpha=st.floats(0.01, 0.2),
        gamma=st.floats(0.5, 2.0), complete=st.booleans(),
@@ -596,6 +706,19 @@ def test_driver_rejects_unknown_and_incompatible(quad6, quad6_noisy, ring6):
         for problem in (quad6, quad6_noisy):
             with pytest.raises(ValueError, match=f"unknown algorithm '{algo}'"):
                 Driver(algo, problem, ring6, HyperParams())
+
+
+def test_centralized_methods_are_refused_on_a_ring(quad6, ring6):
+    # the README's list, written out so that a flipped table flag shows
+    centralized = {"scaffold", "local_sgd", "fedgate", "vrl_sgd", "led_server"}
+    assert centralized <= set(ALGORITHMS)
+    for algo in ALGORITHMS:
+        if algo in centralized:
+            with pytest.raises(ValueError, match=f"^{algo} is a centralized "
+                               "method and requires the complete graph"):
+                Driver(algo, quad6, ring6, HyperParams())
+        else:
+            Driver(algo, quad6, ring6, HyperParams())
 
 
 def test_driver_positions_shape(quad6, ring6, complete6):

@@ -91,6 +91,25 @@ def test_every_flag_maps_to_a_known_key():
         assert set(command.flags.values()) <= KNOWN_KEYS
 
 
+def test_known_keys_are_the_signature_keys_plus_the_undeclared_ones():
+    # derived from SynthConfig, quadratic_problem, HyperParams and the graph
+    # kinds' keys; a parameter added to one of them adds its key here
+    assert KNOWN_KEYS == {
+        "topology.graph", "topology.n", "topology.rows", "topology.cols",
+        "topology.p", "topology.seed", "topology.lazy",
+        "problem.kind", "problem.n_nodes", "problem.dim", "problem.n_samples",
+        "problem.reg", "problem.sigma_u", "problem.sigma_h", "problem.sigma",
+        "problem.feature_scale", "problem.mu", "problem.lip",
+        "problem.heterogeneity", "problem.seed",
+        "algorithm.id",
+        "hyperparameters.alpha", "hyperparameters.beta",
+        "hyperparameters.gamma", "hyperparameters.tau", "hyperparameters.p",
+        "hyperparameters.zeta", "hyperparameters.eta_pd",
+        "harness.rounds", "harness.num_runs", "harness.base_seed",
+        "harness.cadence", "harness.target",
+    }
+
+
 @pytest.mark.parametrize("spelling,lazy", [
     ("1", True), ("true", True), ("Yes", True), ("on", True),
     ("0", False), ("false", False), ("no", False), ("OFF", False)])
@@ -292,6 +311,16 @@ def test_run_writes_fractional_vector_averages_exactly(tmp_path, capsys):
     vectors = [ln.split(",")[-1] for ln in _data_lines(out_path)[1:]]
     assert vectors == ["0", "3", repr(16 / 3), "8", "10"]
     assert _parse_kv(out)["vectors_per_link"] == "10"
+
+
+@pytest.mark.parametrize("flag,field", [
+    ("--rounds", "rounds"), ("--runs", "num_runs"), ("--cadence", "cadence")])
+def test_run_count_below_one_names_its_key(tmp_path, capsys, flag, field):
+    code, out, err = _run(capsys, "--out", str(tmp_path / "x.csv"), "run",
+                          "--algo", "led", *QUAD_ARGS, flag, "0")
+    assert (code, out) == (1, "")
+    assert err == f"error: {field} must be >= 1, got 0\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

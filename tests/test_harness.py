@@ -171,6 +171,12 @@ def test_config_validation():
             _cfg(algorithm=algo)
 
 
+@pytest.mark.parametrize("field", ["rounds", "num_runs", "cadence"])
+def test_a_count_below_one_names_its_field(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        _cfg(**{field: 0})
+
+
 @pytest.mark.parametrize("x0,message", [
     (np.zeros((2, 6, 3)), r"x0 must have shape \(6, 3\), got \(2, 6, 3\)"),
     (np.zeros(3), r"x0 must have shape \(6, 3\), got \(3,\)"),

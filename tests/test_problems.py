@@ -342,6 +342,22 @@ def test_quadratic_heterogeneity_zero_means_identical_nodes():
         assert np.array_equal(ai, p.a[0])
 
 
+def test_quadratic_suite_defaults_and_keyword_seed():
+    # the CLI takes its quadratic defaults from this signature
+    p = quadratic_problem(seed=4)
+    assert (p.n_nodes, p.dim, p.sigma) == (15, 5, 0.0)
+    eigs = np.linalg.eigvalsh(p.a_bar)
+    assert eigs[0] == pytest.approx(0.1, abs=1e-12)
+    assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
+    same = quadratic_problem(15, 5, 0.1, 1.0, 1.0, seed=4)
+    assert np.array_equal(p.a, same.a) and np.array_equal(p.b, same.b)
+    # the seed is keyword-only and has no default
+    with pytest.raises(TypeError):
+        quadratic_problem(15, 5, 0.1, 1.0, 1.0, 0.0, 4)
+    with pytest.raises(TypeError):
+        quadratic_problem()
+
+
 def test_quadratic_infeasible_spectrum_rejected():
     with pytest.raises(ValueError):
         quadratic_problem(3, 2, mu=2.0, lip=1.0, heterogeneity=0.0, seed=0)
