@@ -429,12 +429,14 @@ def led_server_round(state: GateState, problem: Problem, alpha: float,
 @dataclass(frozen=True)
 class MethodSpec:
     """init(x0, problem, w, h) builds the first state; step(state, problem, w,
-    h, stream) runs one round.  A centralized method needs the complete graph;
-    a shared one keeps its iterate state.x as one vector for all nodes, with
-    no node axis."""
+    h, stream) runs one round and reads the HyperParams fields in `reads`,
+    no other.  A centralized method needs the complete graph; a shared one
+    keeps its iterate state.x as one vector for all nodes, with no node
+    axis."""
 
     init: Callable
     step: Callable
+    reads: tuple
     centralized: bool = False
     shared: bool = False
 
@@ -444,12 +446,12 @@ def _zero_init(cls):
     return lambda x0, p, w, h: cls(x0, np.zeros_like(x0))
 
 
-def _gated(step):
+def _gated(step, reads):
     """The spec of a server-workers method: a GateState whose shared iterate
     starts at the mean of x0."""
     return MethodSpec(lambda x0, p, w, h: GateState(x0.mean(axis=-2),
                                                     np.zeros_like(x0)),
-                      step, centralized=True, shared=True)
+                      step, reads, centralized=True, shared=True)
 
 
 # Steps take (state, problem, w, h, stream).  led1 and dsgd pin tau = 1, and
@@ -457,34 +459,41 @@ def _gated(step):
 # ed_eliminated_step and uda_ed_step restate); local_sgd is local_dsgd on the
 # complete graph, vrl_sgd is fedgate with alpha * gamma = 1.
 METHODS = {
-    "led": MethodSpec(lambda x0, p, w, h: led_init(x0, w), led_round),
+    "led": MethodSpec(lambda x0, p, w, h: led_init(x0, w), led_round,
+                      ("alpha", "beta", "tau")),
     "led1": MethodSpec(lambda x0, p, w, h: led_init(x0, w), lambda s, p, w, h, r:
                        _led(s, p, w, h.alpha, 1.0 if h.beta is None else h.beta,
-                            1, r)),
+                            1, r), ("alpha", "beta")),
     "pdfp2o": MethodSpec(_zero_init(PrimalDualState), lambda s, p, w, h, r:
-                         pdfp2o_step(s, p, w, h.alpha, h.eta_pd, r)),
+                         pdfp2o_step(s, p, w, h.alpha, h.eta_pd, r),
+                         ("alpha", "eta_pd")),
     "scaffnew": MethodSpec(_zero_init(ScaffnewState), lambda s, p, w, h, r:
-                           scaffnew_round(s, p, w, h.alpha, h.zeta_eff, h.p, r)),
+                           scaffnew_round(s, p, w, h.alpha, h.zeta_eff, h.p, r),
+                           ("alpha", "p", "zeta")),
     "dsgd": MethodSpec(lambda x0, p, w, h: PrimalState(x0), lambda s, p, w, h, r:
-                       local_dsgd_round(s, p, w, h.alpha, 1, r)),
+                       local_dsgd_round(s, p, w, h.alpha, 1, r), ("alpha",)),
     "local_dsgd": MethodSpec(lambda x0, p, w, h: PrimalState(x0), lambda s, p, w, h, r:
-                             local_dsgd_round(s, p, w, h.alpha, h.tau, r)),
+                             local_dsgd_round(s, p, w, h.alpha, h.tau, r),
+                             ("alpha", "tau")),
     "kgt": MethodSpec(_zero_init(TrackingState), lambda s, p, w, h, r:
-                      k_gt_round(s, p, w, h.alpha, h.tau, r)),
+                      k_gt_round(s, p, w, h.alpha, h.tau, r), ("alpha", "tau")),
     "scaffold": MethodSpec(
         lambda x0, p, w, h: ScaffoldState(x0.mean(axis=-2), np.zeros_like(x0)),
         lambda s, p, w, h, r: scaffold_round(s, p, h.alpha, h.tau, r),
-        centralized=True, shared=True),
+        ("alpha", "tau"), centralized=True, shared=True),
     "local_sgd": MethodSpec(lambda x0, p, w, h: PrimalState(x0), lambda s, p, w, h, r:
                             local_dsgd_round(s, p, w, h.alpha, h.tau, r),
-                            centralized=True),
+                            ("alpha", "tau"), centralized=True),
     "fedgate": _gated(lambda s, p, w, h, r:
-                      fedgate_round(s, p, h.alpha, h.gamma, h.tau, r)),
+                      fedgate_round(s, p, h.alpha, h.gamma, h.tau, r),
+                      ("alpha", "gamma", "tau")),
     "vrl_sgd": _gated(lambda s, p, w, h, r:
-                      fedgate_round(s, p, h.alpha, 1.0 / h.alpha, h.tau, r)),
+                      fedgate_round(s, p, h.alpha, 1.0 / h.alpha, h.tau, r),
+                      ("alpha", "tau")),
     "led_server": _gated(lambda s, p, w, h, r:
                          led_server_round(s, p, h.alpha, h.beta_eff, h.gamma,
-                                          h.tau, r)),
+                                          h.tau, r),
+                         ("alpha", "beta", "gamma", "tau")),
 }
 
 ALGORITHMS = tuple(METHODS)

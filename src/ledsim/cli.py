@@ -19,7 +19,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import topology as topo
-from .algorithms import HyperParams
+from .algorithms import HyperParams, method
 from .harness import (ExperimentConfig, compare, default_alpha_grid,
                       run_experiment, tune_to_target)
 from .problems import SynthConfig, quadratic_problem, synth_logistic
@@ -95,12 +95,14 @@ def _defaults(fn) -> dict:
             if p.default is not p.empty}
 
 
-def _fields(cfg: dict, section: str, fn) -> dict:
-    """Read section.<name> for each of _defaults(fn), with the default's type
-    as cast; a default of None (unset) is an optional float."""
+def _fields(cfg: dict, section: str, fn, names=None) -> dict:
+    """Read section.<name> for each of _defaults(fn), or for those in names,
+    with the default's type as cast; a default of None (unset) is an
+    optional float."""
     return {name: _get(cfg, f"{section}.{name}",
                        float if default is None else type(default), default)
-            for name, default in _defaults(fn).items()}
+            for name, default in _defaults(fn).items()
+            if names is None or name in names}
 
 
 # the build_graph arguments each graph kind reads, as topology.<name> keys:
@@ -150,20 +152,25 @@ def build_problem(cfg: dict):
                       "logistic or quadratic")
 
 
-def build_hyper(cfg: dict) -> HyperParams:
-    return HyperParams(**_fields(cfg, "hyperparameters", HyperParams))
+def build_hyper(cfg: dict, names) -> HyperParams:
+    """HyperParams with the fields in names read; the rest keep their
+    defaults, and a key set for one of them is not read."""
+    return HyperParams(**_fields(cfg, "hyperparameters", HyperParams, names))
 
 
-def build_experiment(cfg: dict, algo: str) -> ExperimentConfig:
+def build_experiment(cfg: dict, algos: list) -> ExperimentConfig:
+    """The experiment of algos[0], with every hyperparameter that a step of
+    one of algos reads (compare runs them all on one config)."""
     if "topology.n" in cfg:
         cfg.setdefault("problem.n_nodes", cfg["topology.n"])
     problem = build_problem(cfg)
     mixing = build_mixing(cfg)
     if problem.n_nodes != mixing.n:
         raise ConfigError("problem.n_nodes must match topology.n")
+    reads = {name for algo in algos for name in method(algo, mixing).reads}
     return ExperimentConfig(
-        algorithm=algo, problem=problem, mixing=mixing,
-        hyper=build_hyper(cfg),
+        algorithm=algos[0], problem=problem, mixing=mixing,
+        hyper=build_hyper(cfg, reads),
         rounds=_get(cfg, "harness.rounds", int, 200),
         num_runs=_get(cfg, "harness.num_runs", int, 100),
         base_seed=_get(cfg, "harness.base_seed", int, 0),
@@ -232,7 +239,7 @@ def cmd_synth(args, cfg: dict) -> int:
 
 
 def cmd_run(args, cfg: dict) -> int:
-    experiment = build_experiment(cfg, _get(cfg, "algorithm.id", str))
+    experiment = build_experiment(cfg, [_get(cfg, "algorithm.id", str)])
     _check_out(args.out)
     header = ["round", "grad_norm_sq", "consensus_err", "fgap",
               "vectors_per_link"]
@@ -258,7 +265,7 @@ def cmd_run(args, cfg: dict) -> int:
 def cmd_tune(args, cfg: dict) -> int:
     if args.grid_points is not None and args.grid_points < 1:
         raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
-    experiment = build_experiment(cfg, _get(cfg, "algorithm.id", str))
+    experiment = build_experiment(cfg, [_get(cfg, "algorithm.id", str)])
     target = _get(cfg, "harness.target", float, 1e-4)
     grid = None
     if args.grid_points is not None:
@@ -283,8 +290,8 @@ def cmd_compare(args, cfg: dict) -> int:
     if not algos:
         raise ConfigError("compare needs a nonempty --algos list")
     target = _get(cfg, "harness.target", float, 1e-4)
-    # one problem for every method; replace re-validates each name
-    base = build_experiment(cfg, algos[0])
+    # one problem for every method
+    base = build_experiment(cfg, algos)
     cfgs = [dataclasses.replace(base, algorithm=algo) for algo in algos]
     _check_out(args.out)
     rows = compare(cfgs, target, jobs=args.jobs)

@@ -109,9 +109,21 @@ def _known_above(g, done: float, num_runs: int, target: float) -> bool:
             and np.cumsum(np.append(done, g))[-1] / num_runs > target)
 
 
+def _certified(problem: Problem, xbar: np.ndarray) -> tuple:
+    """(g, finite) at a deferred slot: grad_norm_sq where the problem's bound
+    cannot rule out divergence, NaN elsewhere, and whether each lane stays in
+    the finite range."""
+    unsure = problem.grad_norm_sq_bound(xbar) > DIVERGENCE_LIMIT
+    if not unsure.any():
+        return np.nan, np.True_
+    g = np.full(unsure.shape, np.nan)
+    g[unsure] = problem.global_grad_norm_sq(xbar[unsure])
+    return g, ~unsure | (g <= DIVERGENCE_LIMIT)
+
+
 def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
-               runs: np.ndarray, sums: np.ndarray,
-               prune_at: Optional[tuple]) -> Optional[list]:
+               runs: np.ndarray, sums: np.ndarray, prune_at: Optional[tuple],
+               defer: bool = False) -> Optional[list]:
     """Runs lane k, grid point points[k] in run runs[k], for every k, and
     returns each lane's metrics block; None once pruned (see _run_share).
 
@@ -119,6 +131,11 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
     as one batch: alpha is an (L, 1, 1) array, states are (L, N, m), and
     each noise draw of a run serves its lanes.  A lane whose metric leaves
     the finite range stops there, and leaves the batch.
+
+    defer=True evaluates grad_norm_sq only at a lane's last recorded round
+    and where Problem.grad_norm_sq_bound exceeds DIVERGENCE_LIMIT, so lanes
+    leave where they would otherwise; the row is NaN elsewhere, and rows 5
+    on hold the lane's x_bar, one column per recorded round, for _fill.
     """
     problem = cfg.problem
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
@@ -132,7 +149,8 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
     driver = Driver(cfg.algorithm, problem, cfg.mixing, hyper)
     state = driver.init(x0)
     stream = RngStream.for_runs(cfg.base_seed, runs)
-    block = np.full((len(points), 5, len(recorded)), np.nan)
+    rows = 5 + problem.dim if defer else 5
+    block = np.full((len(points), rows, len(recorded)), np.nan)
     width = np.full(len(points), len(recorded))
     # the lanes still in the batch; a slice writes faster than indices
     live = slice(None)
@@ -148,8 +166,11 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
         xmat = driver.positions(state)
         # add.reduce is what mean and sum call, without their dispatch
         xbar = np.add.reduce(xmat, axis=-2) / problem.n_nodes
-        g = problem.global_grad_norm_sq(xbar)
-        finite = g <= DIVERGENCE_LIMIT   # False for inf and NaN
+        if defer and until < cfg.rounds:
+            g, finite = _certified(problem, xbar)
+        else:
+            g = problem.global_grad_norm_sq(xbar)
+            finite = g <= DIVERGENCE_LIMIT   # False for inf and NaN
         if not finite.all():
             if not finite.any():
                 width[live] = slot
@@ -172,13 +193,20 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
         if problem.x_star is not None:
             err = xbar - problem.x_star
             block[live, 4, slot] = np.add.reduce(err * err, axis=-1)
+        if defer:
+            block[live, 5:, slot] = xbar
         if slot >= first and _known_above(g, sums[slot], cfg.num_runs, target):
             return None
     return [block[k, :, :n] for k, n in enumerate(width)]
 
 
+def _lanes_per_batch(cfg: ExperimentConfig) -> int:
+    return max(1, LANE_BYTES // cfg.problem.point_bytes())
+
+
 def _run_share(cfg: ExperimentConfig, hypers: list, runs: range,
-               prune_at: Optional[tuple]) -> Optional[list]:
+               prune_at: Optional[tuple],
+               defer: bool = False) -> Optional[list]:
     """Runs the seeded runs `runs` and returns, for each point of `hypers`,
     its runs' metrics blocks in run order: one column per recorded round and
     one row per Trace metric (grad_norm_sq, consensus_err, fgap,
@@ -201,11 +229,13 @@ def _run_share(cfg: ExperimentConfig, hypers: list, runs: range,
     Running the first run alone keeps its early cut, which a batch of all
     the runs would reach later.
 
+    defer=True (unpruned tuning) returns deferred blocks; see _run_lanes.
+
     Metrics use exact gradients of the running state; the dual/stochastic
     machinery only affects the trajectory.
     """
     sums = np.zeros(len(_recorded_rounds(cfg.rounds, cfg.cadence)))
-    per_batch = max(1, LANE_BYTES // cfg.problem.point_bytes())
+    per_batch = _lanes_per_batch(cfg)
     batches = []
     for part in (runs[:1], runs[1:]):
         lanes = [(k, run) for run in part for k in range(len(hypers))]
@@ -214,7 +244,8 @@ def _run_share(cfg: ExperimentConfig, hypers: list, runs: range,
     blocks = [[] for _ in hypers]
     for batch in batches:
         points, lane_runs = map(np.array, zip(*batch))
-        out = _run_lanes(cfg, hypers, points, lane_runs, sums, prune_at)
+        out = _run_lanes(cfg, hypers, points, lane_runs, sums, prune_at,
+                         defer)
         if out is None:
             return None
         for k, block in zip(points, out):
@@ -243,7 +274,8 @@ def _pool(cfg: ExperimentConfig, jobs: int):
 
 
 def _run(cfg: ExperimentConfig, hypers: list, pool: tuple,
-         prune_at: Optional[tuple] = None) -> Optional[list]:
+         prune_at: Optional[tuple] = None,
+         defer: bool = False) -> Optional[list]:
     """Every point's runs' metrics blocks in run order, from one _run_share
     per contiguous share of the runs, k shares in all for pool = (k, map);
     None once pruned."""
@@ -252,11 +284,33 @@ def _run(cfg: ExperimentConfig, hypers: list, pool: tuple,
               for i in range(k)]
     # one task per worker, so each receives the config once
     per_share = list(pool_map(_run_share, [cfg] * k, [hypers] * k, shares,
-                              [prune_at] * k))
+                              [prune_at] * k, [defer] * k))
     if any(blocks is None for blocks in per_share):
         return None
     return [[block for blocks in per_share for block in blocks[i]]
             for i in range(len(hypers))]
+
+
+def _final_above(results: list, target: float) -> bool:
+    """Whether a point's run-averaged grad_norm_sq at its last recorded round
+    exceeds target, for each average _trace may take: the mean over runs,
+    which adds the last column as it adds every column of the same (runs,
+    rounds) array; and run 0's row, which it takes when every run's row is
+    equal, as they can be only where the last values are."""
+    rows = [block[0] for block in results]
+    return (np.mean(rows, axis=0)[-1] > target
+            and (len({row[-1] for row in rows}) > 1 or rows[0][-1] > target))
+
+
+def _fill(problem: Problem, results: list, width: int) -> None:
+    """Row 0 of a point's deferred blocks, grad_norm_sq at every recorded
+    round, from their stored x_bar, in calls of at most `width` slots; each
+    slot is bitwise what it gets in any batch."""
+    for block in results:
+        xbars = block[5:].T
+        for i in range(0, len(xbars), width):
+            block[0, i:i + width] = problem.global_grad_norm_sq(
+                xbars[i:i + width])
 
 
 def _trace(cfg: ExperimentConfig, results: list) -> Trace:
@@ -339,8 +393,14 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     round budget is a valid (reported) outcome, as is divergence.
 
     The points are reported in grid order and run largest alpha first.  With
-    prune=False they all run as one group, in lockstep on shared noise draws;
-    each point's trace is bitwise that of run_experiment.  With prune=True
+    prune=False they all run as one group, in lockstep on shared noise draws.
+    A sustained hit must last to the final round, so a point that diverged
+    or whose run-averaged error ends above the target has rounds-to-target
+    None whatever its other rounds hold: for those, grad_norm_sq is
+    evaluated only at each run's final round and wherever
+    Problem.grad_norm_sq_bound cannot rule out divergence.  Every other
+    point gets its full row afterwards, from its stored x_bar, and its trace
+    is bitwise that of run_experiment.  With prune=True
     each point is a group of its own, which stops, reported as pruned, once
     its averaged error is known to exceed the target at a recorded round >=
     the best point's rounds-to-target: it can then neither win nor tie.
@@ -361,15 +421,25 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     # largest alpha first: the incumbent's round drops early, so pruning cuts
     # sooner, and a later point that ties it has the smaller alpha
     order = sorted(range(len(hypers)), key=lambda i: -hypers[i].alpha)
+    slots = len(_recorded_rounds(cfg.rounds, cfg.cadence))
+    # no wider than the first run's lane batch, which stepped the grid
+    width = min(len(hypers), _lanes_per_batch(cfg))
     with _pool(cfg, jobs) as pool:
         for group in [[i] for i in order] if prune else [order]:
             prune_at = None if best[0] is None else (target, best[0])
-            blocks = _run(cfg, [hypers[i] for i in group], pool, prune_at)
+            blocks = _run(cfg, [hypers[i] for i in group], pool, prune_at,
+                          not prune)
             for k, i in enumerate(group):
                 hp = hypers[i]
                 if blocks is None:
                     points[i] = GridPoint(hp.alpha, None, False, pruned=True)
                     continue
+                if not prune:
+                    diverged = min(b.shape[1] for b in blocks[k]) < slots
+                    if diverged or _final_above(blocks[k], target):
+                        points[i] = GridPoint(hp.alpha, None, diverged)
+                        continue
+                    _fill(cfg.problem, blocks[k], width)
                 trace = _trace(cfg, blocks[k])
                 rtt = None if trace.diverged else trace.rounds_to_target(target)
                 points[i] = GridPoint(hp.alpha, rtt, trace.diverged)

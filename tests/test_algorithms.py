@@ -1,5 +1,6 @@
 """Single-round behavior, invariants, and communication accounting."""
 
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ledsim import (Driver, HyperParams, QuadraticProblem, RngStream,
-                    complete_mixing, quadratic_problem, synth_logistic)
+from ledsim import (Driver, ExperimentConfig, HyperParams, QuadraticProblem,
+                    RngStream, complete_mixing, quadratic_problem,
+                    run_experiment, synth_logistic)
 from ledsim.algorithms import (ALGORITHMS, METHODS, GateState,
                                PrimalDualState, PrimalState, ScaffnewState,
                                TrackingState, consensus_sqrt,
@@ -719,6 +721,30 @@ def test_centralized_methods_are_refused_on_a_ring(quad6, ring6):
                 Driver(algo, quad6, ring6, HyperParams())
         else:
             Driver(algo, quad6, ring6, HyperParams())
+
+
+# a valid value, other than the default, for every HyperParams field
+_OTHER_VALUES = {"alpha": 0.05, "beta": 0.7, "gamma": 3.0, "tau": 3, "p": 0.5,
+                 "zeta": 2.0, "eta_pd": 0.5}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_a_method_reads_exactly_its_declared_hyperparameters(
+        algo, quad6_noisy, ring6, complete6):
+    # the CLI reads only the declared keys, so the declaration must not lie:
+    # a field outside it leaves a 3-round trace bitwise as it is, and each
+    # field in it moves the trace
+    assert set(_OTHER_VALUES) == {f.name for f in fields(HyperParams)}
+    spec = METHODS[algo]
+    assert set(spec.reads) <= set(_OTHER_VALUES), algo
+    w = complete6 if spec.centralized else ring6
+    cfg = ExperimentConfig(algo, quad6_noisy, w, HyperParams(alpha=0.1, tau=2),
+                           rounds=3, num_runs=2)
+    want = pickle.dumps(run_experiment(cfg))
+    for name, value in _OTHER_VALUES.items():
+        hyper = replace(cfg.hyper, **{name: value})
+        got = pickle.dumps(run_experiment(replace(cfg, hyper=hyper)))
+        assert (got != want) == (name in spec.reads), (algo, name)
 
 
 def test_driver_positions_shape(quad6, ring6, complete6):

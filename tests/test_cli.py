@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: config parsing, subcommands, exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -387,6 +389,26 @@ def test_header_lists_only_read_keys_and_warns_on_the_rest(tmp_path, capsys):
     assert err == "warning: compare does not read 'algorithm.id'\n"
 
 
+def test_a_method_reads_only_its_own_hyperparameters(tmp_path, capsys):
+    # led reads no gamma, which used to be echoed into the header unwarned
+    out_path = tmp_path / "trace.csv"
+    code, _, err = _run(capsys, "--out", str(out_path), "run", "--algo", "led",
+                        "--problem-kind", "quadratic", "--graph", "complete",
+                        "--n", "5", "--gamma", "5")
+    assert code == 0
+    assert err == "warning: run does not read 'hyperparameters.gamma'\n"
+    assert {ln.split(" = ")[0] for ln in _header(out_path)
+            if ln.startswith("hyperparameters.")} == {
+        "hyperparameters.alpha", "hyperparameters.tau"}
+    # compare reads every key that one of its methods reads
+    code, _, err = _run(capsys, "--out", str(out_path), "compare", "--algos",
+                        "led,fedgate", "--problem-kind", "quadratic",
+                        "--graph", "complete", "--n", "5", "--gamma", "5",
+                        "--rounds", "5", "--runs", "1")
+    assert code == 0 and err == ""
+    assert "hyperparameters.gamma = 5" in _header(out_path)
+
+
 @pytest.mark.parametrize("graph,read", [
     ("ring", set()), ("grid", {"topology.rows", "topology.cols"}),
     ("erdos_renyi", {"topology.p", "topology.seed"})])
@@ -503,6 +525,29 @@ def test_tune_reports_every_point_unpruned(tmp_path, capsys, monkeypatch):
     assert not any(p.pruned for p in results[0].points)
 
 
+# data rows that ledsim wrote before an unpruned tune deferred its error
+# metric: a logistic grid with points that reach the target and points that
+# do not, and CI's quadratic grid whose two largest stepsizes diverge
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,args", [
+    ("tune_logistic_ring6",
+     ["--algo", "led", "--graph", "ring", "--n", "6", "--tau", "10",
+      "--rounds", "120", "--runs", "2", "--grid-points", "6"]),
+    ("tune_led_server_diverging",
+     ["--algo", "led_server", "--problem-kind", "quadratic", "--graph",
+      "complete", "--n", "6", "--gamma", "30", "--sigma", "0.01", "--rounds",
+      "200", "--cadence", "3", "--runs", "3", "--target", "1e-3",
+      "--grid-points", "6"])])
+def test_tune_rows_equal_the_stored_rows(tmp_path, capsys, name, args):
+    out_path = tmp_path / "tune.csv"
+    code, _, _ = _run(capsys, "--out", str(out_path), "tune", *args)
+    assert code == 0
+    want = (_GOLDEN / f"{name}.csv").read_text().splitlines()
+    assert _data_lines(out_path) == want
+
+
 def test_compare_builds_the_problem_once(tmp_path, capsys, monkeypatch):
     calls = []
     synth = cli.synth_logistic
@@ -555,12 +600,15 @@ def test_run_explicit_zero_beta_is_config_error(tmp_path, capsys):
                                         ("--gamma", "-1")])
 def test_run_rejects_a_bad_stepsize(tmp_path, capsys, monkeypatch, flag,
                                     value):
-    # --alpha nan used to run every round and exit 2, --gamma nan exit 0
+    # --alpha nan used to run every round and exit 2, --gamma nan exit 0;
+    # led does not read gamma, the server-workers fedgate does
     runs = []
     monkeypatch.setattr(harness, "_run_share", lambda *a: runs.append(a))
     out_path = tmp_path / "x.csv"
+    algo = (["fedgate", *QUAD_ARGS, "--graph", "complete"] if flag == "--gamma"
+            else ["led", *QUAD_ARGS])
     code, out, err = _run(capsys, "--out", str(out_path), "run", "--algo",
-                          "led", *QUAD_ARGS, flag, value)
+                          *algo, flag, value)
     assert code == 1 and out == ""
     assert f"error: {flag[2:]} must be positive and finite, got" in err
     assert not out_path.exists() and not runs

@@ -18,7 +18,7 @@ from ledsim import (ExperimentConfig, HyperParams, QuadraticProblem,
 from ledsim import algorithms, cli, harness
 from ledsim.algorithms import ALGORITHMS, METHODS
 from ledsim.harness import Trace, compare, default_alpha_grid
-from ledsim.problems import SynthConfig
+from ledsim.problems import Problem, SynthConfig
 
 
 def _cfg(**kw):
@@ -565,8 +565,11 @@ def _assert_tune_equals_per_point(monkeypatch, cfg, target, alphas, jobs):
         _assert_traces_equal(res.best_trace, ref[res.best.alpha], label)
     else:
         assert res.best is None and res.best_trace is None, label
-    # the batch runs largest alpha first
-    wanted = [ref[a] for a in sorted(alphas, reverse=True)]
+    # traces are built, largest alpha first, for exactly the points whose
+    # rounds-to-target could be set: those not diverged whose final averaged
+    # error is at or below the target
+    wanted = [ref[a] for a in sorted(alphas, reverse=True)
+              if not ref[a].diverged and ref[a].grad_norm_sq[-1] <= target]
     assert len(built) == len(wanted), label
     for got, want in zip(built, wanted):
         _assert_traces_equal(got, want, label)
@@ -605,6 +608,61 @@ def test_unpruned_tune_initial_point_divergence_reads_diverged(monkeypatch):
     res = _assert_tune_equals_per_point(monkeypatch, cfg, PRUNE_TARGET,
                                         (0.05, 0.1, 0.2), 1)
     assert all(p.diverged for p in res.points) and res.best is None
+
+
+def test_unpruned_tune_evaluates_the_metric_where_an_answer_needs_it(
+        monkeypatch):
+    # grad_norm_sq slices: a point that ends above the target needs each
+    # run's final slot alone; the bound rules divergence out elsewhere on
+    # this logistic problem
+    slices = []
+    metric = Problem.global_grad_norm_sq
+    monkeypatch.setattr(Problem, "global_grad_norm_sq", lambda self, x:
+                        slices.append(x.size // x.shape[-1]) or metric(self, x))
+    logistic = synth_logistic(SynthConfig(n_nodes=6, dim=4, n_samples=50,
+                                          sigma=0.05), seed=7)
+    cfg = replace(_method_cfg("led", num_runs=3, rounds=40), problem=logistic)
+    grid, slots = (0.01, 0.3, 0.1), 41
+    finals = {a: t.grad_norm_sq[-1] for a, t in _per_point(cfg, grid).items()}
+    slices.clear()
+    res = tune_to_target(cfg, min(finals.values()) / 2, alphas=grid)
+    assert res.best is None
+    assert sum(slices) == len(grid) * cfg.num_runs
+    # at the smallest final average as the target, one point hits: its runs
+    # get every slot, after the final slots of the first run's lane batch
+    # and of the other runs' batch, in calls no wider than the first batch
+    slices.clear()
+    res = tune_to_target(cfg, min(finals.values()), alphas=grid)
+    assert res.best.alpha == min(finals, key=finals.get)
+    assert sum(slices) == len(grid) * cfg.num_runs + cfg.num_runs * slots
+    assert slices[:2] == [len(grid), 2 * len(grid)]
+    assert max(slices[2:]) == len(grid)
+
+
+def test_deferred_blocks_match_eager_blocks():
+    # the diverging quadratic lanes leave at the slot where their eager runs
+    # leave; every other metric is bitwise the eager one, and grad_norm_sq
+    # is too wherever it was evaluated, at the final slot at least, and
+    # after _fill at every slot, for any fill width
+    cfg = _method_cfg("led", num_runs=3, rounds=60, cadence=3)
+    hypers = [replace(cfg.hyper, alpha=a) for a in (6.4, 0.1, 2.4, 0.4, 3.2)]
+    with harness._pool(cfg, 1) as pool:
+        eager = harness._run(cfg, hypers, pool)
+        deferred = harness._run(cfg, hypers, pool, None, True)
+    widths = set()
+    for k in range(len(hypers)):
+        for e, d in zip(eager[k], deferred[k]):
+            widths.add(e.shape[1])
+            assert d.shape == (5 + cfg.problem.dim, e.shape[1])
+            assert d[1:5].tobytes() == e[1:5].tobytes()
+            evaluated = ~np.isnan(d[0])
+            assert d[0, evaluated].tobytes() == e[0, evaluated].tobytes()
+            assert evaluated[-1] or e.shape[1] < 21
+        for width in (1, 2, 5):
+            harness._fill(cfg.problem, deferred[k], width)
+            for e, d in zip(eager[k], deferred[k]):
+                assert d[:5].tobytes() == e.tobytes()
+    assert len(widths) > 2 and 21 in widths
 
 
 def test_unpruned_tune_starts_one_pool(monkeypatch):

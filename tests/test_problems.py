@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ledsim import (LogisticProblem, NodeDataset, QuadraticProblem, RngStream,
                     quadratic_problem, synth_logistic)
-from ledsim.problems import SynthConfig, sigmoid, softplus
+from ledsim.harness import DIVERGENCE_LIMIT
+from ledsim.problems import Problem, SynthConfig, sigmoid, softplus
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +552,47 @@ def test_quadratic_mean_value_closed_form_matches_node_loop(
     # relative to the size of the summed terms, which may cancel
     size = sum(0.5 * abs(x @ p.a[i] @ x) + abs(p.b[i] @ x) for i in range(n)) / n
     assert abs(p.mean_value(x) - loop) <= 1e-12 * size
+
+
+# ---------------------------------------------------------------------------
+# the divergence certificate
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(["quadratic", "logistic"]),
+       lanes=st.sampled_from([None, 1, 3]), exponent=st.floats(-3.0, 300.0),
+       special=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+       data=st.data())
+def test_grad_norm_sq_bound_bounds_the_metric(quad6, small_logistic, family,
+                                              lanes, exponent, special, data):
+    # points of magnitude up to 1e300, one entry maybe +-inf or NaN
+    p = quad6 if family == "quadratic" else small_logistic
+    shape = (p.dim,) if lanes is None else (lanes, p.dim)
+    size = math.prod(shape)
+    x = 10.0 ** exponent * np.array(data.draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=size, max_size=size))).reshape(shape)
+    if special is not None:
+        x.flat[data.draw(st.integers(0, size - 1))] = special
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = p.grad_norm_sq_bound(x)
+    assert bound.shape == shape[:-1]
+    # the metric itself may overflow at such points
+    with np.errstate(all="ignore"):
+        g = np.asarray(p.global_grad_norm_sq(x))
+    known = np.isfinite(bound)
+    assert np.all(g[known] <= bound[known])   # False for a NaN metric too
+    assert np.all(np.isfinite(g[bound <= DIVERGENCE_LIMIT]))
+    # a NaN or inf entry gives no bound
+    assert not np.any(known & ~np.isfinite(x).all(axis=-1))
+    # a family without bound terms knows none
+    assert np.all(Problem().grad_norm_sq_bound(x) == math.inf)
+
+
+def test_grad_norm_sq_bound_is_computed_on_first_use():
+    # set-up runs no code of the bound; the seed-1 benchmark problem's
+    # logistic bound is far below the divergence limit
+    p = synth_logistic(SynthConfig(), seed=1)
+    assert "_bound_terms" not in vars(p)
+    assert 80 < p.grad_norm_sq_bound(np.zeros(p.dim)) < 100
+    assert "_bound_terms" in vars(p)
