@@ -32,9 +32,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("rounds", "num_runs", "cadence"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, "
-                                 f"got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
         method(self.algorithm, self.mixing)
         shape = (self.problem.n_nodes, self.problem.dim)
         if self.mixing.n != shape[0]:

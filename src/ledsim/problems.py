@@ -79,7 +79,9 @@ class Problem:
     grads, grads_at, sampled_grads and global_grad_norm_sq take leading
     batch axes, (..., N, m) node points or (..., m) shared points, and give
     each slice bitwise what it gives alone; so does the quadratic
-    mean_value."""
+    mean_value.  A family defines grads and lipschitz(), a bound on every
+    node's gradient Lipschitz constant, which tuning needs: for its default
+    grid and for grad_norm_sq_bound."""
 
     n_nodes: int
     dim: int
@@ -131,25 +133,32 @@ class Problem:
         g = np.add.reduce(self.grads_at(x_bar), axis=-2) / self.n_nodes
         return np.add.reduce(g * g, axis=-1)
 
-    # (slope, offset, cap) of a family that knows them: wherever every
-    # |x_j| <= cap, each entry of grad f_i(x), as computed in floating
-    # point, is at most slope * max_j |x_j| + offset <= 1e100
-    _bound_terms = None
+    @functools.cached_property
+    def _bound_terms(self) -> tuple:
+        """(slope, offset, cap), computed on first use: ||grad f(x)|| <=
+        ||grad f(0)|| + L ||x||, and ||x|| <= sqrt(m) ||x||_inf, so wherever
+        ||x||_inf <= cap the norm is at most slope ||x||_inf + offset, and
+        slope ||x||_inf <= 1e99.  cap is -inf where a term is not finite, or
+        offset is past 1e100."""
+        slope = self.lipschitz() * math.sqrt(self.dim)
+        offset = math.sqrt(self.global_grad_norm_sq(np.zeros(self.dim)))
+        # offset <= 1e100 is False for NaN too, and keeps t * t finite
+        if not (math.isfinite(slope) and offset <= 1e100):
+            return 0.0, 0.0, -math.inf
+        return slope, offset, 1e99 / max(1.0, slope)
 
     def grad_norm_sq_bound(self, x_bar: np.ndarray) -> np.ndarray:
         """Per slice, an upper bound on global_grad_norm_sq(x_bar) as computed
-        in floating point: m (slope ||x_bar||_inf + offset)^2, with a slack
-        for rounding.  inf where no bound is known: past cap, at a NaN or
-        inf entry, and everywhere for a family without _bound_terms.  It
-        never warns."""
-        if self._bound_terms is None:
-            return np.full(np.shape(x_bar)[:-1], np.inf)
+        in floating point: (slope ||x_bar||_inf + offset)^2, with a slack for
+        rounding, from lipschitz() and the gradient at 0.  inf where no bound
+        is known: past cap and at a NaN or inf entry.  It never warns."""
         slope, offset, cap = self._bound_terms
         x = np.maximum.reduce(np.abs(x_bar), axis=-1)
         t = slope * np.minimum(x, cap) + offset
-        # the slack covers the rounding of sums of up to about 10^6 terms;
+        # the slack covers the rounding of sums of up to about 10^6 terms of
+        # at most t each, not node gradients that cancel to far below t;
         # x <= cap is False for NaN too
-        return np.where(x <= cap, self.dim * (1 + 1e-9) * t * t, np.inf)
+        return np.where(x <= cap, (1 + 1e-9) * t * t, np.inf)
 
     def heterogeneity_at(self, x: np.ndarray) -> float:
         """(1/N) sum_i ||grad f_i(x) - grad f(x)||^2."""
@@ -177,7 +186,7 @@ class LogisticProblem(Problem):
         self.datasets = list(datasets)
         self.n_nodes = len(datasets)
         self.dim = dims.pop()
-        self.reg = float(reg)
+        self.reg = _scale("reg", reg)
         self.sigma = _scale("sigma", sigma)
         # Labels folded into transposed features for the vectorized
         # whole-network gradient: _zt[n] = (y_s h_s)^T, shape (N, m, S), so
@@ -189,6 +198,8 @@ class LogisticProblem(Problem):
         self._zt = np.empty((self.n_nodes, self.dim, len(datasets[0].labels)))
         for zt, d in zip(self._zt, datasets):
             np.multiply(d.features.T, d.labels, out=zt)
+        if not np.isfinite(self._zt).all():
+            raise ValueError("features must be finite")
 
     def value(self, i: int, x: np.ndarray) -> float:
         d = self.datasets[i]
@@ -222,21 +233,6 @@ class LogisticProblem(Problem):
     def point_bytes(self) -> int:
         # the (N, S) margins
         return 8 * self._zt.shape[0] * self._zt.shape[2]
-
-    @functools.cached_property
-    def _bound_terms(self) -> tuple:
-        """Computed on first use.  Below cap, no margin overflows, so sigma
-        lies in [0, 1]: a gradient entry is at most max_{n,j} sum_s |z_njs| /
-        S, plus reg max |2x / (1 + x^2)^2| = 0.6495 reg, whatever x."""
-        row_sum = z_max = 0.0
-        # node by node, so the temporary stays one node's size
-        for zt in self._zt:
-            z = np.abs(zt)
-            row_sum = max(row_sum, float(z.sum(axis=-1).max()))
-            z_max = max(z_max, float(z.max()))
-        offset = row_sum / self._zt.shape[2] + 0.65 * abs(self.reg)
-        cap = 1e300 / max(1.0, self.dim * z_max)
-        return 0.0, offset, cap if offset <= 1e100 else -math.inf
 
     def lipschitz(self) -> float:
         """Smoothness bound: logistic term (1/4S) lam_max(H_i^T H_i), plus the
@@ -318,14 +314,6 @@ class QuadraticProblem(Problem):
 
     def lipschitz(self) -> float:
         return float(np.linalg.eigvalsh(self.a)[:, -1].max())
-
-    @functools.cached_property
-    def _bound_terms(self) -> tuple:
-        """Computed on first use: an entry of A_i x - b_i is at most
-        ||A_i||_inf ||x||_inf + |b_i|."""
-        a_norm = float(np.abs(self.a).sum(axis=-1).max())
-        b_max = float(np.abs(self.b).max())
-        return a_norm, b_max, (1e100 - b_max) / max(1.0, a_norm)
 
 
 def quadratic_problem(n_nodes: int = 15, dim: int = 5, mu: float = 0.1,

@@ -175,6 +175,10 @@ def test_config_validation():
 def test_a_count_below_one_names_its_field(field):
     with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
         _cfg(**{field: 0})
+    # a float count used to fail in run_experiment, naming no field
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got 2.0$"):
+        _cfg(**{field: 2.0})
 
 
 @pytest.mark.parametrize("x0,message", [
@@ -624,6 +628,8 @@ def test_unpruned_tune_evaluates_the_metric_where_an_answer_needs_it(
     cfg = replace(_method_cfg("led", num_runs=3, rounds=40), problem=logistic)
     grid, slots = (0.01, 0.3, 0.1), 41
     finals = {a: t.grad_norm_sq[-1] for a, t in _per_point(cfg, grid).items()}
+    # the bound's first use evaluates the metric at 0
+    logistic.grad_norm_sq_bound(np.zeros(4))
     slices.clear()
     res = tune_to_target(cfg, min(finals.values()) / 2, alphas=grid)
     assert res.best is None

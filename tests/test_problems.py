@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledsim import (LogisticProblem, NodeDataset, QuadraticProblem, RngStream,
-                    quadratic_problem, synth_logistic)
+                    cli, quadratic_problem, synth_logistic)
 from ledsim.harness import DIVERGENCE_LIMIT
 from ledsim.problems import Problem, SynthConfig, sigmoid, softplus
 
@@ -398,6 +398,23 @@ def test_both_families_reject_a_bad_sigma(small_logistic, bad):
             build()
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("reg", -1.0), ("reg", float("nan")), ("reg", float("inf")),
+    ("features", float("nan")), ("features", float("inf"))])
+def test_logistic_problem_rejects_bad_data(small_logistic, field, bad):
+    # a negative reg made lipschitz() negative, and a NaN feature made it
+    # raise LinAlgError; grad_norm_sq_bound needs L >= the true smoothness
+    datasets, reg = list(small_logistic.datasets), 0.01
+    if field == "reg":
+        reg = bad
+    else:
+        features = datasets[1].features.copy()
+        features[2, 1] = bad
+        datasets[1] = NodeDataset(features, datasets[1].labels)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        LogisticProblem(datasets, reg=reg)
+
+
 @pytest.mark.parametrize("field", ["reg", "sigma_u", "sigma_h",
                                    "feature_scale"])
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
@@ -558,15 +575,37 @@ def test_quadratic_mean_value_closed_form_matches_node_loop(
 # the divergence certificate
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
-@given(family=st.sampled_from(["quadratic", "logistic"]),
+class _LogCosh(Problem):
+    """A family that defines only grads and lipschitz():
+    f_i(x) = sum_j ln cosh(x_j - c_ij), whose gradient is 1-Lipschitz."""
+
+    n_nodes, dim, sigma = 3, 4, 0.0
+    centers = np.arange(12.0).reshape(3, 4) - 5.0
+
+    def grads(self, x_nodes):
+        return np.tanh(x_nodes - self.centers)
+
+    def lipschitz(self):
+        return 1.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(family=st.sampled_from(["quadratic", "logistic", "quadratic, b = 0",
+                               "one node", "grads and lipschitz only"]),
        lanes=st.sampled_from([None, 1, 3]), exponent=st.floats(-3.0, 300.0),
        special=st.sampled_from([None, math.inf, -math.inf, math.nan]),
        data=st.data())
 def test_grad_norm_sq_bound_bounds_the_metric(quad6, small_logistic, family,
                                               lanes, exponent, special, data):
-    # points of magnitude up to 1e300, one entry maybe +-inf or NaN
-    p = quad6 if family == "quadratic" else small_logistic
+    # points of magnitude up to 1e300, one entry maybe +-inf or NaN; b = 0
+    # gives grad f(0) = 0, so the bound is L's alone
+    p = {"quadratic": lambda: quad6,
+         "logistic": lambda: small_logistic,
+         "quadratic, b = 0":
+             lambda: QuadraticProblem(quad6.a, np.zeros_like(quad6.b)),
+         "one node": lambda: synth_logistic(SynthConfig(
+             n_nodes=1, dim=3, n_samples=20, sigma=0.0), seed=3),
+         "grads and lipschitz only": _LogCosh}[family]()
     shape = (p.dim,) if lanes is None else (lanes, p.dim)
     size = math.prod(shape)
     x = 10.0 ** exponent * np.array(data.draw(st.lists(
@@ -585,14 +624,34 @@ def test_grad_norm_sq_bound_bounds_the_metric(quad6, small_logistic, family,
     assert np.all(np.isfinite(g[bound <= DIVERGENCE_LIMIT]))
     # a NaN or inf entry gives no bound
     assert not np.any(known & ~np.isfinite(x).all(axis=-1))
-    # a family without bound terms knows none
-    assert np.all(Problem().grad_norm_sq_bound(x) == math.inf)
+    # every family has one wherever each entry is finite and at most 1e90
+    assert np.all(known[np.all(np.abs(x) <= 1e90, axis=-1)])
 
 
-def test_grad_norm_sq_bound_is_computed_on_first_use():
-    # set-up runs no code of the bound; the seed-1 benchmark problem's
-    # logistic bound is far below the divergence limit
-    p = synth_logistic(SynthConfig(), seed=1)
+def test_grad_norm_sq_bound_is_computed_on_first_use(tmp_path, monkeypatch):
+    # set-up runs no code of the bound; at 0 it is the metric with its slack,
+    # up to the rounding of its square root and two products
+    p = synth_logistic(SynthConfig(sigma_h=0.1), seed=1)
     assert "_bound_terms" not in vars(p)
-    assert 80 < p.grad_norm_sq_bound(np.zeros(p.dim)) < 100
+    zero = np.zeros(p.dim)
+    assert p.grad_norm_sq_bound(zero) == pytest.approx(
+        (1 + 1e-9) * p.global_grad_norm_sq(zero), rel=1e-15, abs=0)
     assert "_bound_terms" in vars(p)
+    # along the seed-1 benchmark tune (5 points, 1500 rounds, led with
+    # tau = 1 on the complete graph) it stays far below the divergence limit
+    peaks = []
+    bound = Problem.grad_norm_sq_bound
+
+    def recorded(self, x_bar):
+        b = bound(self, x_bar)
+        peaks.append(b.max())
+        return b
+
+    monkeypatch.setattr(Problem, "grad_norm_sq_bound", recorded)
+    code = cli.main(["--out", str(tmp_path / "tune.csv"), "--seed", "1",
+                     "tune", "--algo", "led", "--graph", "complete", "--n",
+                     "15", "--sigma-h", "0.1", "--tau", "1", "--rounds",
+                     "1500", "--grid-points", "5", "--runs", "1", "--target",
+                     "1e-4", "--problem-seed", "1"])
+    assert code == 0
+    assert len(peaks) == 1500 and max(peaks) <= 1e4
