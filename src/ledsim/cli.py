@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import inspect
-import io
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -152,12 +151,6 @@ def build_problem(cfg: dict):
                       "logistic or quadratic")
 
 
-def build_hyper(cfg: dict, names) -> HyperParams:
-    """HyperParams with the fields in names read; the rest keep their
-    defaults, and a key set for one of them is not read."""
-    return HyperParams(**_fields(cfg, "hyperparameters", HyperParams, names))
-
-
 def build_experiment(cfg: dict, algos: list) -> ExperimentConfig:
     """The experiment of algos[0], with every hyperparameter that a step of
     one of algos reads (compare runs them all on one config)."""
@@ -170,21 +163,12 @@ def build_experiment(cfg: dict, algos: list) -> ExperimentConfig:
     reads = {name for algo in algos for name in method(algo, mixing).reads}
     return ExperimentConfig(
         algorithm=algos[0], problem=problem, mixing=mixing,
-        hyper=build_hyper(cfg, reads),
+        # a field that no step reads keeps its default, and its key is not read
+        hyper=HyperParams(**_fields(cfg, "hyperparameters", HyperParams, reads)),
         rounds=_get(cfg, "harness.rounds", int, 200),
         num_runs=_get(cfg, "harness.num_runs", int, 100),
         base_seed=_get(cfg, "harness.base_seed", int, 0),
         cadence=_get(cfg, "harness.cadence", int, 1))
-
-
-def _csv_text(rows) -> str:
-    """CSV of rows: a float is written as repr(float(v)), which parses back
-    exactly (repr of a numpy float names its type), and None as an empty
-    field (the csv module's rule)."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows([repr(float(v)) if isinstance(v, float) else v
-                               for v in row] for row in rows)
-    return buf.getvalue()
 
 
 def _check_out(path: str) -> None:
@@ -200,10 +184,13 @@ def _check_out(path: str) -> None:
 
 def _write_csv(path: str, cfg: _Config, rows) -> None:
     """rows as CSV under the effective configuration as '# key = value'
-    lines."""
+    lines.  A float is written as repr(float(v)), which parses back exactly
+    (repr of a numpy float names its type), and None as an empty field (the
+    csv module's rule)."""
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {key} = {val}\n" for key, val in sorted(cfg.read.items()))
-        fh.write(_csv_text(rows))
+        csv.writer(fh).writerows([repr(float(v)) if isinstance(v, float) else v
+                                  for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,6 @@ class ExperimentConfig:
             if not np.isfinite(x0).all():
                 raise ValueError("x0 must be finite")
 
-    def initial_positions(self) -> np.ndarray:
-        if self.x0 is not None:
-            return np.asarray(self.x0, dtype=float)
-        return np.zeros((self.problem.n_nodes, self.problem.dim))
-
 
 @dataclass
 class Trace:
@@ -143,7 +138,9 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
     recorded = _recorded_rounds(cfg.rounds, cfg.cadence)
     target, incumbent = prune_at or (math.inf, math.inf)
     first = bisect.bisect_left(recorded, incumbent)
-    x0, hyper = cfg.initial_positions(), hypers[points[0]]
+    x0 = (np.zeros((problem.n_nodes, problem.dim)) if cfg.x0 is None
+          else np.asarray(cfg.x0, dtype=float))
+    hyper = hypers[points[0]]
     if len(points) > 1:
         x0 = np.stack([x0] * len(points))
         alphas = np.array([hypers[k].alpha for k in points])
@@ -382,6 +379,9 @@ class TuneResult:
 
 def default_alpha_grid(stability_alpha: float, points: int = 20) -> np.ndarray:
     """Log grid spanning four decades up to the stability estimate."""
+    if not 0 < stability_alpha < math.inf:
+        raise ValueError("the stability stepsize must be positive and "
+                         f"finite, got {stability_alpha!r}")
     hi = math.log10(stability_alpha)
     return np.logspace(hi - 4.0, hi, points)
 

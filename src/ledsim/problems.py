@@ -81,7 +81,8 @@ class Problem:
     each slice bitwise what it gives alone; so does the quadratic
     mean_value.  A family defines grads and lipschitz(), a bound on every
     node's gradient Lipschitz constant, which tuning needs: for its default
-    grid and for grad_norm_sq_bound."""
+    grid and for grad_norm_sq_bound.  A family with a known f_star defines
+    _mean_value, (1/N) sum_i f_i(x), which the harness needs for fgap."""
 
     n_nodes: int
     dim: int
@@ -108,12 +109,9 @@ class Problem:
         return self.grads(x_nodes)
 
     def mean_value(self, x: np.ndarray) -> float:
-        """(1/N) sum_i f_i(x); a family with a closed form overrides
-        _mean_value, so every call still passes through this method."""
+        """(1/N) sum_i f_i(x), from the family's _mean_value, so every call
+        still passes through this method."""
         return self._mean_value(x)
-
-    def _mean_value(self, x: np.ndarray) -> float:
-        return sum(self.value(i, x) for i in range(self.n_nodes)) / self.n_nodes
 
     def sampled_grads(self, x_nodes: np.ndarray, stream: RngStream | None) -> np.ndarray:
         """grads plus iid N(0, sigma^2) noise: one (N, m) draw per call that
@@ -187,6 +185,10 @@ class LogisticProblem(Problem):
         self.n_nodes = len(datasets)
         self.dim = dims.pop()
         self.reg = _scale("reg", reg)
+        # lipschitz() and grads take 2 * reg
+        if not math.isfinite(2.0 * self.reg):
+            raise ValueError(f"reg must be at most {np.finfo(float).max / 2:.16g}, "
+                             f"so that 2 * reg is finite; got {reg!r}")
         self.sigma = _scale("sigma", sigma)
         # Labels folded into transposed features for the vectorized
         # whole-network gradient: _zt[n] = (y_s h_s)^T, shape (N, m, S), so
@@ -273,6 +275,10 @@ class QuadraticProblem(Problem):
     def __init__(self, a: np.ndarray, b: np.ndarray, sigma: float = 0.0):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
+        # before any eigendecomposition; a NaN passes the symmetry test
+        for name, value in (("a", a), ("b", b)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if a.ndim == 2:
             a = np.broadcast_to(a, (b.shape[0],) + a.shape).copy()
         if np.max(np.abs(a - np.transpose(a, (0, 2, 1)))) > 0:
@@ -285,9 +291,10 @@ class QuadraticProblem(Problem):
         eigs = np.linalg.eigvalsh(self.a_bar)
         if eigs[0] <= 0:
             raise ValueError("aggregate Hessian must be positive definite")
-        per_node_min = float(np.linalg.eigvalsh(a)[:, 0].min())
-        if per_node_min < -1e-10:
+        per_node = np.linalg.eigvalsh(a)
+        if float(per_node[:, 0].min()) < -1e-10:
             raise ValueError("every per-node Hessian must be PSD")
+        self._lipschitz = float(per_node[:, -1].max())
         self.mu = float(eigs[0])
         self.lip = float(eigs[-1])
         self.b_bar = b.mean(axis=0)
@@ -313,7 +320,8 @@ class QuadraticProblem(Problem):
         return np.einsum("nij,...nj->...ni", self.a, x_nodes) - self.b
 
     def lipschitz(self) -> float:
-        return float(np.linalg.eigvalsh(self.a)[:, -1].max())
+        """The largest per-node Hessian eigenvalue, found by __init__."""
+        return self._lipschitz
 
 
 def quadratic_problem(n_nodes: int = 15, dim: int = 5, mu: float = 0.1,
@@ -339,7 +347,7 @@ def quadratic_problem(n_nodes: int = 15, dim: int = 5, mu: float = 0.1,
     a_bar = (q * eigs) @ q.T
     a_bar = 0.5 * (a_bar + a_bar.T)  # kill asymmetric rounding
 
-    a = np.broadcast_to(a_bar, (n_nodes, dim, dim)).copy()
+    a = a_bar   # QuadraticProblem gives every node a 2-D a
     if heterogeneity > 0 and n_nodes > 1:
         raw = rng.child("hessians").normal((n_nodes, dim, dim))
         sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
@@ -348,7 +356,7 @@ def quadratic_problem(n_nodes: int = 15, dim: int = 5, mu: float = 0.1,
         if worst > 0:
             # cap the deviation so A_i = a_bar + E_i keeps min eigenvalue >= mu/10
             scale = min(0.5, 0.9 * mu / worst)
-            a = a + scale * sym
+            a = a_bar + scale * sym
 
     b_bar = rng.child("center").normal(dim)
     d = rng.child("spread").normal((n_nodes, dim))

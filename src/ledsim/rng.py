@@ -46,11 +46,6 @@ def _shared_generator() -> tuple:
     return gen, rekey
 
 
-def _digest(seed: int, path: tuple) -> bytes:
-    """The 16 key bytes: the first 16 of sha256(repr((seed, path)))."""
-    return hashlib.sha256(repr((seed, path)).encode()).digest()[:16]
-
-
 class RngStream:
     """A deterministic random stream addressed by a seed and a label path.
 
@@ -96,8 +91,9 @@ class RngStream:
         if self.runs is not None:
             raise ValueError(f"{self!r} is a lane stream; take generator() "
                              "of one run's stream")
-        return np.random.Generator(np.random.Philox(
-            key=np.frombuffer(_digest(self.seed, self.path), dtype=np.uint64)))
+        key = _key_words(hashlib.sha256(repr((self.seed, self.path)).encode()).digest())
+        # typed: numpy converts two Python ints past 2**63 through float64
+        return np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
 
     def _draw(self, method: str, size):
         """The shared Generator's `method`(size), rekeyed to the state

@@ -300,6 +300,22 @@ def test_run_diverged_at_initial_point_exits_2(tmp_path, capsys):
     assert "problem.feature_scale = 1e9" in _header(out_path)
 
 
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_a_reg_past_the_bound_names_its_key(tmp_path, capsys, command):
+    # tune used to end in "error: math domain error", and run warned, then
+    # reported divergence at the initial point
+    cfg = tmp_path / "reg.cfg"
+    cfg.write_text("problem.reg = 1e308\n")
+    extra = ["--grid-points", "3"] if command == "tune" else []
+    code, out, err = _run(capsys, "--out", str(tmp_path / "r.csv"), command,
+                          "--config", str(cfg), "--algo", "led", "--graph",
+                          "ring", "--n", "5", "--rounds", "3", "--runs", "1",
+                          *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: reg must be at most") and len(err.splitlines()) == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_run_writes_fractional_vector_averages_exactly(tmp_path, capsys):
     # scaffnew at p < 1 skips links at random, so runs send different counts
     cfg = tmp_path / "skips.cfg"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledsim import (ExperimentConfig, HyperParams, QuadraticProblem,
-                    complete_mixing, metropolis_weights, build_graph,
+                    RngStream, complete_mixing, metropolis_weights, build_graph,
                     noise_floor, quadratic_problem, run_experiment,
                     synth_logistic, tune_to_target)
 from ledsim import algorithms, cli, harness
@@ -145,6 +145,40 @@ def test_divergence_flagged_and_truncated():
     assert trace.diverged
     assert len(trace.rounds) < 201
     assert np.all(np.isfinite(trace.grad_norm_sq))
+
+
+def test_recorded_metrics_equal_per_node_loops():
+    # 3 noisy runs, each stepped on its own stream; every metric from loops
+    # over the run's N = 6 node estimates of m = 3 coordinates, then the mean
+    # over runs in run order
+    cfg = _cfg(sigma=0.3, num_runs=3, rounds=12, cadence=3)
+    trace = run_experiment(cfg)
+    p, n = cfg.problem, cfg.problem.n_nodes
+    per_run = []
+    for run in range(cfg.num_runs):
+        driver = algorithms.Driver(cfg.algorithm, p, cfg.mixing, cfg.hyper)
+        state = driver.init(np.zeros((n, p.dim)))
+        stream = RngStream(cfg.base_seed).child("run", run)
+        rows = []
+        for r in range(cfg.rounds + 1):
+            if r in trace.rounds:
+                x = driver.positions(state)
+                xbar = sum(x[i] for i in range(n)) / n
+                grad = sum(p.grad(i, xbar) for i in range(n)) / n
+                rows.append((
+                    grad @ grad,
+                    sum((x[i] - xbar) @ (x[i] - xbar) for i in range(n)) / n,
+                    sum(p.value(i, xbar) for i in range(n)) / n - p.f_star,
+                    (xbar - p.x_star) @ (xbar - p.x_star)))
+            if r < cfg.rounds:
+                state = driver.step(state, stream.child("round", r)).state
+        per_run.append(rows)
+    ref = np.mean(per_run, axis=0).T
+    assert list(trace.rounds) == [0, 3, 6, 9, 12]
+    for got, want in zip((trace.grad_norm_sq, trace.consensus_err, trace.fgap,
+                          trace.dist_to_opt_sq), ref):
+        assert np.all(want[1:] > 1e-4)     # far from rounding noise
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_fgap_present_for_quadratics():
@@ -345,6 +379,14 @@ def test_default_alpha_grid_shape():
     assert grid[0] == pytest.approx(1e-4)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_default_alpha_grid_rejects_a_bad_stability_stepsize(bad):
+    # 1/L with L = inf used to fail as "math domain error"
+    with pytest.raises(ValueError, match="^the stability stepsize must be "
+                       "positive and finite"):
+        default_alpha_grid(bad)
+
+
 def test_tune_rejects_empty_grid():
     with pytest.raises(ValueError):
         tune_to_target(_cfg(), 1e-4, alphas=[])
@@ -498,6 +540,16 @@ def test_pruning_keeps_a_tie_at_the_incumbent_round(monkeypatch):
         assert full[0].alpha == 0.5 and full[0].rounds_to_target == 10
         tied = next(p for p in tune.points if p.alpha == 0.45)
         assert tied.rounds_to_target == 10 and not tied.pruned
+
+
+def test_a_run_average_equal_to_the_target_is_not_known_above_it():
+    # run 0 finished at 0.5 and the live lane of run 1 reads 1.5: the
+    # average of 2 runs is the target 1.0 exactly, so the point may still tie
+    assert not harness._known_above(np.array([1.5]), 0.5, 2, 1.0)
+    assert harness._known_above(np.array([1.5]), 0.6, 2, 1.0)
+    # a live lane at the target itself: the average is above, the lane not
+    assert not harness._known_above(np.array([1.0]), 3.0, 2, 1.0)
+    assert harness._known_above(np.array([1.0, 1.5]), 3.0, 3, 1.0)
 
 
 def test_pruning_runs_fewer_steps(monkeypatch):
@@ -856,6 +908,34 @@ def test_noise_floor_zero_noise():
                           hyper=HyperParams(alpha=0.2, tau=2)))
     assert nf.value <= 1e-16
     assert nf.stationary
+
+
+def _floor_of(monkeypatch, dist):
+    """noise_floor of a run whose recorded dist_to_opt_sq is dist."""
+    dist = np.array(dist, dtype=float)
+    trace = Trace(rounds=np.arange(len(dist)), grad_norm_sq=dist,
+                  consensus_err=dist, fgap=None,
+                  vectors_per_link=np.zeros(len(dist)), dist_to_opt_sq=dist)
+    monkeypatch.setattr(harness, "run_experiment", lambda cfg, jobs: trace)
+    return noise_floor(_cfg())
+
+
+def test_noise_floor_averages_the_last_quarter(monkeypatch):
+    # 12 slots: the last 3 (a third would take 4); 7 slots: the last 2
+    assert _floor_of(monkeypatch, range(1, 13)).value == 11.0
+    assert _floor_of(monkeypatch, range(1, 8)).value == 6.5
+
+
+@pytest.mark.parametrize("halves,stationary", [
+    ((1.0, 2.0), True), ((2.0, 1.0), True), ((1.0, 2.0000001), False),
+    ((2.5, 1.0), False), ((0.0, 0.0), True), ((0.0, 1e-300), False)])
+def test_noise_floor_is_stationary_within_a_factor_of_two(monkeypatch, halves,
+                                                          stationary):
+    # 16 slots: a tail of 4, whose halves are 2 slots each
+    first, second = halves
+    nf = _floor_of(monkeypatch, [9.0] * 12 + [first] * 2 + [second] * 2)
+    assert nf.stationary == stationary
+    assert nf.value == pytest.approx((first + second) / 2, rel=1e-15, abs=0)
 
 
 def test_noise_floor_requires_known_minimizer(small_logistic):

@@ -383,6 +383,38 @@ def test_malformed_data_or_hessians_are_refused(build, message):
         build()
 
 
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quadratic_problem_rejects_non_finite_inputs(field, bad):
+    # each used to build: a NaN passed the symmetry test and gave
+    # lipschitz() = nan, and a NaN or inf in b gave a non-finite x_star
+    a, b = np.array([np.eye(2), 2 * np.eye(2)]), np.ones((2, 2))
+    if field == "a":
+        a[1, 0, 1] = a[1, 1, 0] = bad
+    else:
+        b[1, 0] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        QuadraticProblem(a, b)
+
+
+def test_quadratic_lipschitz_is_the_largest_node_eigenvalue(quad6):
+    # found once, by the PSD check's eigendecomposition
+    want = float(np.linalg.eigvalsh(quad6.a)[:, -1].max())
+    assert quad6.lipschitz() == want
+    assert QuadraticProblem(np.diag([3.0, 1.0]), np.zeros((2, 2))).lipschitz() == 3.0
+
+
+def test_logistic_problem_rejects_a_reg_whose_double_overflows(small_logistic):
+    # reg = 1e308 made lipschitz() inf, so tune failed with "math domain
+    # error"; the largest accepted reg keeps 2 * reg finite
+    half = np.finfo(float).max / 2
+    assert math.isfinite(LogisticProblem(small_logistic.datasets,
+                                         reg=half).lipschitz())
+    for reg in (np.nextafter(half, math.inf), 1e308):
+        with pytest.raises(ValueError, match="^reg must be at most 8.98"):
+            LogisticProblem(small_logistic.datasets, reg=reg)
+
+
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan"), float("inf")])
 def test_both_families_reject_a_bad_sigma(small_logistic, bad):
     # a negative or NaN sigma used to run on exact gradients, since
