@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from . import topology as topo
 from .algorithms import HyperParams, method
 from .harness import (ExperimentConfig, compare, default_alpha_grid,
-                      run_experiment, tune_to_target)
+                      run_experiment, stability_alpha, tune_to_target)
 from .problems import SynthConfig, quadratic_problem, synth_logistic
 
 
@@ -254,10 +254,8 @@ def cmd_tune(args, cfg: dict) -> int:
         raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     experiment = build_experiment(cfg, [_get(cfg, "algorithm.id", str)])
     target = _get(cfg, "harness.target", float, 1e-4)
-    grid = None
-    if args.grid_points is not None:
-        grid = default_alpha_grid(1.0 / experiment.problem.lipschitz(),
-                                  points=args.grid_points)
+    grid = None if args.grid_points is None else default_alpha_grid(
+        stability_alpha(experiment.problem), points=args.grid_points)
     _check_out(args.out)
     result = tune_to_target(experiment, target, alphas=grid, jobs=args.jobs)
     _write_csv(args.out, cfg, [

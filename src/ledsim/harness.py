@@ -11,11 +11,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algorithms import Driver, HyperParams, method
-from .problems import Problem
+from .problems import DIVERGENCE_LIMIT, Problem
 from .rng import RngStream
 from .topology import MixingMatrix
-
-DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,10 @@ def _known_above(g, done: float, num_runs: int, target: float) -> bool:
 
 
 def _certified(problem: Problem, xbar: np.ndarray) -> tuple:
-    """(g, finite) at a deferred slot: grad_norm_sq where the problem's bound
-    cannot rule out divergence, NaN elsewhere, and whether each lane stays in
-    the finite range."""
-    unsure = problem.grad_norm_sq_bound(xbar) > DIVERGENCE_LIMIT
+    """(g, finite) at a deferred slot: grad_norm_sq where x_bar lies outside
+    the problem's safe radius, NaN elsewhere, and whether each lane stays in
+    the finite range.  A NaN or inf entry lies outside."""
+    unsure = ~(np.maximum.reduce(np.abs(xbar), axis=-1) <= problem.safe_radius)
     if not unsure.any():
         return np.nan, np.True_
     g = np.full(unsure.shape, np.nan)
@@ -130,8 +128,8 @@ def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
     the finite range stops there, and leaves the batch.
 
     defer=True evaluates grad_norm_sq only at a lane's last recorded round
-    and where Problem.grad_norm_sq_bound exceeds DIVERGENCE_LIMIT, so lanes
-    leave where they would otherwise; the row is NaN elsewhere, and rows 5
+    and where ||x_bar||_inf exceeds Problem.safe_radius, so lanes leave
+    where they would otherwise; the row is NaN elsewhere, and rows 5
     on hold the lane's x_bar, one column per recorded round, for _fill.
     """
     problem = cfg.problem
@@ -386,6 +384,14 @@ def default_alpha_grid(stability_alpha: float, points: int = 20) -> np.ndarray:
     return np.logspace(hi - 4.0, hi, points)
 
 
+def stability_alpha(problem: Problem) -> float:
+    """1/L, L = problem.lipschitz(): the top of the default grid."""
+    if not (lip := problem.lipschitz()):
+        raise ValueError("L = 0, so the default grid has no top 1/L: a logistic "
+                         "problem whose features are all 0 needs reg > 0")
+    return 1.0 / lip
+
+
 def tune_to_target(cfg: ExperimentConfig, target: float,
                    alphas: Optional[Sequence[float]] = None,
                    jobs: int = 1, prune: bool = False) -> TuneResult:
@@ -399,20 +405,20 @@ def tune_to_target(cfg: ExperimentConfig, target: float,
     A sustained hit must last to the final round, so a point that diverged
     or whose run-averaged error ends above the target has rounds-to-target
     None whatever its other rounds hold: for those, grad_norm_sq is
-    evaluated only at each run's final round and wherever
-    Problem.grad_norm_sq_bound cannot rule out divergence.  Every other
-    point gets its full row afterwards, from its stored x_bar, and its trace
-    is bitwise that of run_experiment.  With prune=True
-    each point is a group of its own, which stops, reported as pruned, once
-    its averaged error is known to exceed the target at a recorded round >=
-    the best point's rounds-to-target: it can then neither win nor tie.
+    evaluated only at each run's final round and wherever x_bar lies outside
+    Problem.safe_radius.  Every other point gets its full row afterwards,
+    from its stored x_bar, and its trace is bitwise that of run_experiment.
+    With prune=True each point is a group of its own, which stops, reported
+    as pruned, once its averaged error is known to exceed the target at a
+    recorded round >= the best point's rounds-to-target: it can then neither
+    win nor tie.
     best and best_trace are those of prune=False.  For jobs > 1 every group
     runs on one process pool.
     """
     if not target >= 0:
         raise ValueError(f"target must be >= 0, got {target!r}")
     if alphas is None:
-        alphas = default_alpha_grid(1.0 / cfg.problem.lipschitz())
+        alphas = default_alpha_grid(stability_alpha(cfg.problem))
     if len(alphas) == 0:
         raise ValueError("empty tuning grid")
     # every grid point is validated before the first run

@@ -16,6 +16,9 @@ import numpy as np
 
 from .rng import RngStream
 
+# a recorded grad_norm_sq above this (or inf, or NaN) ends its run
+DIVERGENCE_LIMIT = 1e12
+
 
 def _scale(name: str, value) -> float:
     """value as a float, once it is finite and >= 0; NaN fails too."""
@@ -81,7 +84,7 @@ class Problem:
     each slice bitwise what it gives alone; so does the quadratic
     mean_value.  A family defines grads and lipschitz(), a bound on every
     node's gradient Lipschitz constant, which tuning needs: for its default
-    grid and for grad_norm_sq_bound.  A family with a known f_star defines
+    grid and for safe_radius.  A family with a known f_star defines
     _mean_value, (1/N) sum_i f_i(x), which the harness needs for fgap."""
 
     n_nodes: int
@@ -132,31 +135,19 @@ class Problem:
         return np.add.reduce(g * g, axis=-1)
 
     @functools.cached_property
-    def _bound_terms(self) -> tuple:
-        """(slope, offset, cap), computed on first use: ||grad f(x)|| <=
-        ||grad f(0)|| + L ||x||, and ||x|| <= sqrt(m) ||x||_inf, so wherever
-        ||x||_inf <= cap the norm is at most slope ||x||_inf + offset, and
-        slope ||x||_inf <= 1e99.  cap is -inf where a term is not finite, or
-        offset is past 1e100."""
+    def safe_radius(self) -> float:
+        """The largest ||x_bar||_inf at which global_grad_norm_sq(x_bar), as
+        computed, is at most DIVERGENCE_LIMIT, by ||grad f(x)|| <= ||grad
+        f(0)|| + L sqrt(m) ||x||_inf with a 1e-9 slack on the square for
+        rounding, not for node gradients near 1e22 that cancel; computed on
+        first use.  -inf where the metric at 0 is past the limit or NaN, 0
+        where L sqrt(m) is inf, and at most 1e99, below which grads is finite."""
         slope = self.lipschitz() * math.sqrt(self.dim)
-        offset = math.sqrt(self.global_grad_norm_sq(np.zeros(self.dim)))
-        # offset <= 1e100 is False for NaN too, and keeps t * t finite
-        if not (math.isfinite(slope) and offset <= 1e100):
-            return 0.0, 0.0, -math.inf
-        return slope, offset, 1e99 / max(1.0, slope)
-
-    def grad_norm_sq_bound(self, x_bar: np.ndarray) -> np.ndarray:
-        """Per slice, an upper bound on global_grad_norm_sq(x_bar) as computed
-        in floating point: (slope ||x_bar||_inf + offset)^2, with a slack for
-        rounding, from lipschitz() and the gradient at 0.  inf where no bound
-        is known: past cap and at a NaN or inf entry.  It never warns."""
-        slope, offset, cap = self._bound_terms
-        x = np.maximum.reduce(np.abs(x_bar), axis=-1)
-        t = slope * np.minimum(x, cap) + offset
-        # the slack covers the rounding of sums of up to about 10^6 terms of
-        # at most t each, not node gradients that cancel to far below t;
-        # x <= cap is False for NaN too
-        return np.where(x <= cap, (1 + 1e-9) * t * t, np.inf)
+        reach = (math.sqrt(DIVERGENCE_LIMIT / (1 + 1e-9))
+                 - math.sqrt(self.global_grad_norm_sq(np.zeros(self.dim))))
+        if not reach >= 0:   # NaN too
+            return -math.inf
+        return 1e99 if reach >= 1e99 * slope else reach / slope
 
     def heterogeneity_at(self, x: np.ndarray) -> float:
         """(1/N) sum_i ||grad f_i(x) - grad f(x)||^2."""
@@ -335,10 +326,14 @@ def quadratic_problem(n_nodes: int = 15, dim: int = 5, mu: float = 0.1,
     nodes are identical.  b_i = b_bar + heterogeneity * d_i with centered d_i,
     so the gradient spread at the all-zeros point is set by the b spread alone.
     """
-    if not 0 < mu <= lip < math.inf:
-        raise ValueError("need 0 < mu <= lip < inf")
     if min(n_nodes, dim) < 1:
         raise ValueError(f"n_nodes and dim must be >= 1, got {n_nodes}, {dim}")
+    # a_bar + a_bar^T and the node sum of a stay below 2 n_nodes lip
+    top = np.finfo(float).max / (2 * n_nodes)
+    if not 0 < mu <= lip <= top:
+        raise ValueError(f"need 0 < mu <= lip < inf, and lip <= {top:.16g} so "
+                         f"that 2 * n_nodes * lip is finite; got mu={mu!r}, "
+                         f"lip={lip!r}")
     _scale("heterogeneity", heterogeneity)
     rng = RngStream(seed).child("quadratic")
     gauss = rng.child("basis").normal((dim, dim))

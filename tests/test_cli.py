@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: config parsing, subcommands, exit codes."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,87 @@ def test_a_reg_past_the_bound_names_its_key(tmp_path, capsys, command):
     assert code == 1 and out == ""
     assert err.startswith("error: reg must be at most") and len(err.splitlines()) == 1
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["tune", "--algo", "led", "--grid-points", "3"], ["tune", "--algo", "led"],
+    ["compare", "--algos", "led,kgt"]])
+def test_a_logistic_problem_with_l_zero_names_reg(tmp_path, capsys, command):
+    # zero features and reg = 0 give L = 0, and the default grid's top 1/L
+    # used to end in ZeroDivisionError; run needs no grid, so it still runs
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("problem.feature_scale = 0\nproblem.reg = 0\n")
+    base = ["--config", str(cfg), "--graph", "ring", "--n", "5", "--rounds",
+            "3", "--runs", "1"]
+    out_path = tmp_path / "z.csv"
+    code, out, err = _run(capsys, "--out", str(out_path), *command, *base)
+    assert code == 1 and out == ""
+    assert err.startswith("error: L = 0") and len(err.splitlines()) == 1
+    assert "reg > 0" in err
+    assert not out_path.exists()
+    assert _run(capsys, "--out", str(out_path), "run", "--algo", "led",
+                *base)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_a_lip_whose_set_up_overflows_names_its_bound(tmp_path, capsys,
+                                                      command):
+    # lip = 1e308 overflowed the node mean of the Hessians, with a warning,
+    # then failed with "error: Eigenvalues did not converge"
+    cfg = tmp_path / "lip.cfg"
+    cfg.write_text("problem.lip = 1e308\n")
+    code, out, err = _run(capsys, "--out", str(tmp_path / "l.csv"), command,
+                          "--config", str(cfg), "--algo", "led",
+                          "--problem-kind", "quadratic", "--graph", "ring",
+                          "--n", "5", "--rounds", "3", "--runs", "1")
+    assert code == 1 and out == ""
+    assert err == ("error: need 0 < mu <= lip < inf, and lip <= "
+                   "1.797693134862316e+307 so that 2 * n_nodes * lip is "
+                   "finite; got mu=0.1, lip=1e+308\n")
+    assert not (tmp_path / "l.csv").exists()
+
+
+# every key but the three kind selectors, each set alone to each value on
+# top of a small base config
+_SURFACE_KEYS = sorted(KNOWN_KEYS - {"topology.graph", "problem.kind",
+                                     "algorithm.id"})
+_SURFACE_VALUES = ("nan", "inf", "-inf", "-1", "0", "", "x", "1e-320", "3",
+                   "1.5")
+
+
+def test_every_config_key_and_value_ends_in_an_exit_code_not_a_traceback(
+        tmp_path, capsys):
+    # run and tune on both problem kinds.  1e308 only for reg and lip, whose
+    # set-up refuses it: at 1e308 alpha, beta, sigma, sigma_u, sigma_h,
+    # feature_scale and heterogeneity still overflow with a RuntimeWarning
+    base = {"topology.graph": "ring", "topology.n": "5", "algorithm.id": "led",
+            "harness.rounds": "3", "harness.num_runs": "2",
+            "problem.n_samples": "20"}
+    cases = [({key: value}, key) for key in _SURFACE_KEYS
+             for value in _SURFACE_VALUES]
+    cases += [({"problem.reg": "1e308"}, "problem.reg"),
+              ({"problem.lip": "1e308"}, "problem.lip"),
+              ({"problem.feature_scale": "0", "problem.reg": "0"}, "problem.reg")]
+    out_path = tmp_path / "o.csv"
+    failures = []
+    for i, (values, key) in enumerate(cases):
+        cfg = tmp_path / f"{i}.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                               {**base, **values}.items()))
+        for kind in ("logistic", "quadratic"):
+            for command in ("run", "tune"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code, _, err = _run(capsys, "--out", str(out_path), command,
+                                        "--config", str(cfg), "--problem-kind",
+                                        kind)
+                errors = [ln for ln in err.splitlines()
+                          if ln.startswith("error:")]
+                if (code not in (0, 1, 2) or "Traceback" in err
+                        or len(errors) > 1 or (code == 1 and key.split(".")[-1]
+                                               not in errors[0])):
+                    failures.append((values, kind, command, code, err))
+    assert failures == []
 
 
 def test_run_writes_fractional_vector_averages_exactly(tmp_path, capsys):

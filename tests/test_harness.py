@@ -1,6 +1,7 @@
 """Experiment runner: averaging, determinism, tuning, floors, serialization."""
 
 import concurrent.futures
+import dataclasses
 import multiprocessing
 import pickle
 import random
@@ -669,8 +670,8 @@ def test_unpruned_tune_initial_point_divergence_reads_diverged(monkeypatch):
 def test_unpruned_tune_evaluates_the_metric_where_an_answer_needs_it(
         monkeypatch):
     # grad_norm_sq slices: a point that ends above the target needs each
-    # run's final slot alone; the bound rules divergence out elsewhere on
-    # this logistic problem
+    # run's final slot alone; the safe radius rules divergence out elsewhere
+    # on this logistic problem
     slices = []
     metric = Problem.global_grad_norm_sq
     monkeypatch.setattr(Problem, "global_grad_norm_sq", lambda self, x:
@@ -680,8 +681,8 @@ def test_unpruned_tune_evaluates_the_metric_where_an_answer_needs_it(
     cfg = replace(_method_cfg("led", num_runs=3, rounds=40), problem=logistic)
     grid, slots = (0.01, 0.3, 0.1), 41
     finals = {a: t.grad_norm_sq[-1] for a, t in _per_point(cfg, grid).items()}
-    # the bound's first use evaluates the metric at 0
-    logistic.grad_norm_sq_bound(np.zeros(4))
+    # the radius's first use evaluates the metric at 0
+    logistic.safe_radius
     slices.clear()
     res = tune_to_target(cfg, min(finals.values()) / 2, alphas=grid)
     assert res.best is None
@@ -897,6 +898,50 @@ def test_pruned_compare_cuts_inside_a_lane_batch(monkeypatch):
         assert pickle.dumps(rows) == pickle.dumps(full), algo
         _assert_prune_exact(tune, full_tune, algo)
         assert (2, True) in cuts, algo
+
+
+def test_compare_cost_equals_the_stored_cost(monkeypatch):
+    # near the noise floor, 5 runs in batches of at most two lanes: run 0
+    # alone, then runs 1-2 and runs 3-4.  Per grid point, its lane-steps and,
+    # for a pruned point, the slot of its cut: cadence 1, so the rounds that
+    # the cut batch stepped.  A cut that starts one slot late, or finished
+    # runs' sums that are overwritten, not added, leave the rows as they are
+    # and change these counts
+    grid = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.6)
+    cfgs = [_method_cfg(algo, sigma=0.2, num_runs=5, rounds=60)
+            for algo in ("led", "scaffnew")]
+    monkeypatch.setattr(harness, "LANE_BYTES",
+                        2 * cfgs[0].problem.point_bytes())
+    lane_steps = rounds = 0
+    step = algorithms.Driver.step
+
+    def counted(self, *args):
+        nonlocal lane_steps, rounds
+        lane_steps, rounds = lane_steps + np.size(self.h.alpha), rounds + 1
+        return step(self, *args)
+
+    cost = {}
+    run_lanes = harness._run_lanes
+
+    def logged(cfg, hypers, points, *args):
+        nonlocal lane_steps, rounds
+        lane_steps = rounds = 0
+        out = run_lanes(cfg, hypers, points, *args)
+        key = (cfg.algorithm, hypers[points[0]].alpha)
+        steps, cut = cost.get(key, (0, None))
+        cost[key] = (steps + lane_steps, rounds if out is None else cut)
+        return out
+
+    monkeypatch.setattr(algorithms.Driver, "step", counted)
+    monkeypatch.setattr(harness, "_run_lanes", logged)
+    rows = compare(cfgs, 3.16e-3, grids={"led": grid, "scaffnew": grid})
+    assert [dataclasses.astuple(row) for row in rows] == [
+        ("led", 0.2, 24, 24), ("scaffnew", 0.2, 34, 16.4)]
+    full = (300, None)   # 5 runs x 60 rounds
+    assert [cost["led", a] for a in grid] == [
+        (24, 24), (108, 24), (228, 24), *[full] * 6]
+    assert [cost["scaffnew", a] for a in grid] == [
+        (34, 34), (34, 34), (128, 34), *[full] * 6]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Objectives and oracles against straight-loop and Monte-Carlo references."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledsim import (LogisticProblem, NodeDataset, QuadraticProblem, RngStream,
-                    cli, quadratic_problem, synth_logistic)
+                    cli, harness, quadratic_problem, synth_logistic)
 from ledsim.harness import DIVERGENCE_LIMIT
 from ledsim.problems import Problem, SynthConfig, sigmoid, softplus
 
@@ -435,7 +436,7 @@ def test_both_families_reject_a_bad_sigma(small_logistic, bad):
     ("features", float("nan")), ("features", float("inf"))])
 def test_logistic_problem_rejects_bad_data(small_logistic, field, bad):
     # a negative reg made lipschitz() negative, and a NaN feature made it
-    # raise LinAlgError; grad_norm_sq_bound needs L >= the true smoothness
+    # raise LinAlgError; safe_radius needs L >= the true smoothness
     datasets, reg = list(small_logistic.datasets), 0.01
     if field == "reg":
         reg = bad
@@ -621,69 +622,102 @@ class _LogCosh(Problem):
         return 1.0
 
 
+class _SteepLogCosh(_LogCosh):
+    """_LogCosh with an infinite, so still valid, Lipschitz bound."""
+
+    def lipschitz(self):
+        return math.inf
+
+
+def _radius_family(name, quad6, small_logistic):
+    zero = [NodeDataset(np.zeros_like(d.features), d.labels)
+            for d in small_logistic.datasets]
+    return {"quadratic": lambda: quad6,
+            "logistic": lambda: small_logistic,
+            "quadratic, b = 0":
+                lambda: QuadraticProblem(quad6.a, np.zeros_like(quad6.b)),
+            # the metric at 0 is about 1e14, past the limit
+            "quadratic, b * 1e7": lambda: QuadraticProblem(quad6.a, 1e7 * quad6.b),
+            "one node": lambda: synth_logistic(SynthConfig(
+                n_nodes=1, dim=3, n_samples=20, sigma=0.0), seed=3),
+            "grads and lipschitz only": _LogCosh,
+            "L = inf": _SteepLogCosh,
+            "L = 0": lambda: LogisticProblem(zero, reg=0.0)}[name]()
+
+
 @settings(max_examples=500, deadline=None)
 @given(family=st.sampled_from(["quadratic", "logistic", "quadratic, b = 0",
-                               "one node", "grads and lipschitz only"]),
+                               "quadratic, b * 1e7", "one node",
+                               "grads and lipschitz only", "L = inf", "L = 0"]),
        lanes=st.sampled_from([None, 1, 3]), exponent=st.floats(-3.0, 300.0),
+       near=st.floats(-3.0, 0.5), scale=st.sampled_from(["radius", "exponent", 0]),
        special=st.sampled_from([None, math.inf, -math.inf, math.nan]),
        data=st.data())
-def test_grad_norm_sq_bound_bounds_the_metric(quad6, small_logistic, family,
-                                              lanes, exponent, special, data):
-    # points of magnitude up to 1e300, one entry maybe +-inf or NaN; b = 0
-    # gives grad f(0) = 0, so the bound is L's alone
-    p = {"quadratic": lambda: quad6,
-         "logistic": lambda: small_logistic,
-         "quadratic, b = 0":
-             lambda: QuadraticProblem(quad6.a, np.zeros_like(quad6.b)),
-         "one node": lambda: synth_logistic(SynthConfig(
-             n_nodes=1, dim=3, n_samples=20, sigma=0.0), seed=3),
-         "grads and lipschitz only": _LogCosh}[family]()
-    shape = (p.dim,) if lanes is None else (lanes, p.dim)
-    size = math.prod(shape)
-    x = 10.0 ** exponent * np.array(data.draw(st.lists(
-        st.floats(-1.0, 1.0), min_size=size, max_size=size))).reshape(shape)
-    if special is not None:
-        x.flat[data.draw(st.integers(0, size - 1))] = special
+def test_the_metric_is_finite_and_within_the_limit_inside_the_safe_radius(
+        quad6, small_logistic, family, lanes, exponent, near, scale, special,
+        data):
+    # points of magnitude 10**near times the radius, or up to 1e300, or 0,
+    # one entry maybe +-inf or NaN; b = 0 gives grad f(0) = 0, so the radius
+    # is L's alone
+    p = _radius_family(family, quad6, small_logistic)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound = p.grad_norm_sq_bound(x)
-    assert bound.shape == shape[:-1]
+        radius = p.safe_radius
+    shape = (p.dim,) if lanes is None else (lanes, p.dim)
+    size = math.prod(shape)
+    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size,
+                                    max_size=size))).reshape(shape)
+    if scale == "radius" and 0 < radius < math.inf:
+        x *= 10.0 ** near * radius
+    elif scale == "exponent":
+        x *= 10.0 ** exponent
+    elif scale == 0:
+        x[...] = 0.0
+    if special is not None:
+        x.flat[data.draw(st.integers(0, size - 1))] = special
     # the metric itself may overflow at such points
     with np.errstate(all="ignore"):
         g = np.asarray(p.global_grad_norm_sq(x))
-    known = np.isfinite(bound)
-    assert np.all(g[known] <= bound[known])   # False for a NaN metric too
-    assert np.all(np.isfinite(g[bound <= DIVERGENCE_LIMIT]))
-    # a NaN or inf entry gives no bound
-    assert not np.any(known & ~np.isfinite(x).all(axis=-1))
-    # every family has one wherever each entry is finite and at most 1e90
-    assert np.all(known[np.all(np.abs(x) <= 1e90, axis=-1)])
+        # NaN at a lane inside the radius, the metric outside it
+        certified, finite = harness._certified(p, x)
+    inside = np.broadcast_to(np.isnan(certified) & finite, g.shape)
+    assert np.array_equal(inside, np.max(np.abs(x), axis=-1) <= radius)
+    assert np.all(g[inside] <= DIVERGENCE_LIMIT)   # False for NaN too
+    assert np.array_equal(np.broadcast_to(finite, g.shape), g <= DIVERGENCE_LIMIT)
+    assert not np.any(inside & ~np.isfinite(x).all(axis=-1))
+    # the metric at 0 alone decides whether 0 is inside
+    at_zero = p.global_grad_norm_sq(np.zeros(p.dim))
+    assert (0 <= radius) == (at_zero <= DIVERGENCE_LIMIT / (1 + 1e-9))
+    assert radius == {"quadratic, b * 1e7": -math.inf, "L = inf": 0.0,
+                      "L = 0": 1e99}.get(family, radius)
 
 
-def test_grad_norm_sq_bound_is_computed_on_first_use(tmp_path, monkeypatch):
-    # set-up runs no code of the bound; at 0 it is the metric with its slack,
-    # up to the rounding of its square root and two products
+def test_safe_radius_is_computed_on_first_use(tmp_path, monkeypatch):
+    # set-up runs no code of the radius; at the radius the rule's bound,
+    # with its slack, reaches the limit, up to rounding
     p = synth_logistic(SynthConfig(sigma_h=0.1), seed=1)
-    assert "_bound_terms" not in vars(p)
-    zero = np.zeros(p.dim)
-    assert p.grad_norm_sq_bound(zero) == pytest.approx(
-        (1 + 1e-9) * p.global_grad_norm_sq(zero), rel=1e-15, abs=0)
-    assert "_bound_terms" in vars(p)
+    assert "safe_radius" not in vars(p)
+    slope = p.lipschitz() * math.sqrt(p.dim)
+    offset = math.sqrt(p.global_grad_norm_sq(np.zeros(p.dim)))
+    assert (1 + 1e-9) * (offset + slope * p.safe_radius) ** 2 == pytest.approx(
+        DIVERGENCE_LIMIT, rel=1e-15, abs=0)
+    assert "safe_radius" in vars(p)
+    # pickled with the problem, so a pool worker does not compute it again
+    assert vars(pickle.loads(pickle.dumps(p)))["safe_radius"] == p.safe_radius
     # along the seed-1 benchmark tune (5 points, 1500 rounds, led with
-    # tau = 1 on the complete graph) it stays far below the divergence limit
+    # tau = 1 on the complete graph) x_bar stays far inside it
     peaks = []
-    bound = Problem.grad_norm_sq_bound
+    certified = harness._certified
 
-    def recorded(self, x_bar):
-        b = bound(self, x_bar)
-        peaks.append(b.max())
-        return b
+    def recorded(problem, xbar):
+        peaks.append(np.abs(xbar).max() / problem.safe_radius)
+        return certified(problem, xbar)
 
-    monkeypatch.setattr(Problem, "grad_norm_sq_bound", recorded)
+    monkeypatch.setattr(harness, "_certified", recorded)
     code = cli.main(["--out", str(tmp_path / "tune.csv"), "--seed", "1",
                      "tune", "--algo", "led", "--graph", "complete", "--n",
                      "15", "--sigma-h", "0.1", "--tau", "1", "--rounds",
                      "1500", "--grid-points", "5", "--runs", "1", "--target",
                      "1e-4", "--problem-seed", "1"])
     assert code == 0
-    assert len(peaks) == 1500 and max(peaks) <= 1e4
+    assert len(peaks) == 1500 and max(peaks) <= 1e-3
