@@ -134,7 +134,8 @@ def _local_pass(problem: Problem, x: np.ndarray, pull: np.ndarray, alpha: float,
     """tau corrected gradient steps: phi <- phi - alpha*grad - pull.
 
     Returns the final iterate and the (..., tau, m) ledger of network-mean
-    sampled gradients.  pull is the constant per-step correction term.
+    sampled gradients.  pull is the constant per-step correction term; x is
+    copied, so it may be a read-only view such as a broadcast shared iterate.
     """
     phi = x.copy()
     ledger = np.empty(x.shape[:-2] + (tau, problem.dim))
@@ -257,8 +258,7 @@ def pdfp2o_step(state: PrimalDualState, problem: Problem, w: MixingMatrix,
                 alpha: float, eta: float,
                 stream: Optional[RngStream] = None) -> RoundOutput:
     """Phi = x - alpha*grad - eta*y; y+ = y + (I-W)Phi; x+ = ((1-eta)I + eta W)Phi."""
-    if not 0 < eta <= 1:
-        raise ValueError("eta must be in (0, 1]")
+    HyperParams(alpha=alpha, eta_pd=eta)   # checks eta in (0, 1] too
     phi, ledger = _local_pass(problem, state.x, eta * state.y, alpha, 1, stream)
     mixed = w.w @ phi
     y_new = state.y + phi - mixed
@@ -280,17 +280,13 @@ def scaffnew_round(state: ScaffnewState, problem: Problem, w: MixingMatrix,
                    alpha: float, zeta: float, p: float,
                    stream: Optional[RngStream] = None) -> RoundOutput:
     """Local step always; mix with probability p, scaled by alpha*zeta/p."""
+    HyperParams(alpha=alpha, zeta=zeta, p=p)   # checks alpha*zeta/p <= 1 too
     mix_weight = alpha * zeta / p
-    if np.max(mix_weight) > 1.0 + 1e-12:
-        raise ValueError(
-            f"alpha*zeta/p = {np.max(mix_weight):.4g} > 1 leaves the "
-            "convex-combination region of the skipping update")
     g = problem.sampled_grads(
         state.x, stream.child("grad_noise", 0) if stream is not None else None)
     phi = state.x - alpha * (g + state.z)
-    if p >= 1.0:
-        communicate = True
-    else:
+    communicate = True
+    if p < 1.0:
         if stream is None:
             raise ValueError("p < 1 requires a stream for the coin flip")
         # a bool, or one per lane of a lane batch
@@ -376,9 +372,8 @@ def scaffold_round(state: ScaffoldState, problem: Problem, alpha: float,
     """
     # x[..., None, :] puts a shared vector against the node axis
     x, c_bar = state.x[..., None, :], state.c.mean(axis=-2, keepdims=True)
-    start = np.broadcast_to(x, state.c.shape).copy()
-    phi, ledger = _local_pass(problem, start, alpha * (c_bar - state.c),
-                              alpha, tau, stream)
+    phi, ledger = _local_pass(problem, np.broadcast_to(x, state.c.shape),
+                              alpha * (c_bar - state.c), alpha, tau, stream)
     x_new = phi.mean(axis=-2)
     c_new = state.c - c_bar + (x - phi) / (tau * alpha)
     return RoundOutput(ScaffoldState(x_new, c_new), ledger, 2)
@@ -396,8 +391,8 @@ def _gated_round(state: GateState, problem: Problem, alpha: float,
     """Local steps from the shared iterate, then x+ = (1-mix) x +
     mix mean(phi_tau); y_i+ = y_i + phi_i_tau - mean(phi_tau)."""
     x = state.x[..., None, :]
-    start = np.broadcast_to(x, state.y.shape).copy()
-    phi, ledger = _local_pass(problem, start, pull, alpha, tau, stream)
+    phi, ledger = _local_pass(problem, np.broadcast_to(x, state.y.shape), pull,
+                              alpha, tau, stream)
     phi_bar = phi.mean(axis=-2, keepdims=True)
     # on the node axis, so that an (L, 1, 1) mix meets x row by row
     x_new = ((1.0 - mix) * x + mix * phi_bar)[..., 0, :]
@@ -446,11 +441,11 @@ def _zero_init(cls):
     return lambda x0, p, w, h: cls(x0, np.zeros_like(x0))
 
 
-def _gated(step, reads):
-    """The spec of a server-workers method: a GateState whose shared iterate
-    starts at the mean of x0."""
-    return MethodSpec(lambda x0, p, w, h: GateState(x0.mean(axis=-2),
-                                                    np.zeros_like(x0)),
+def _server(step, reads, cls=GateState):
+    """The spec of a server-workers method: a cls(x, correction) whose shared
+    iterate starts at the mean of x0, every node's correction at zero."""
+    return MethodSpec(lambda x0, p, w, h: cls(x0.mean(axis=-2),
+                                              np.zeros_like(x0)),
                       step, reads, centralized=True, shared=True)
 
 
@@ -477,23 +472,22 @@ METHODS = {
                              ("alpha", "tau")),
     "kgt": MethodSpec(_zero_init(TrackingState), lambda s, p, w, h, r:
                       k_gt_round(s, p, w, h.alpha, h.tau, r), ("alpha", "tau")),
-    "scaffold": MethodSpec(
-        lambda x0, p, w, h: ScaffoldState(x0.mean(axis=-2), np.zeros_like(x0)),
-        lambda s, p, w, h, r: scaffold_round(s, p, h.alpha, h.tau, r),
-        ("alpha", "tau"), centralized=True, shared=True),
+    "scaffold": _server(lambda s, p, w, h, r:
+                        scaffold_round(s, p, h.alpha, h.tau, r),
+                        ("alpha", "tau"), ScaffoldState),
     "local_sgd": MethodSpec(lambda x0, p, w, h: PrimalState(x0), lambda s, p, w, h, r:
                             local_dsgd_round(s, p, w, h.alpha, h.tau, r),
                             ("alpha", "tau"), centralized=True),
-    "fedgate": _gated(lambda s, p, w, h, r:
-                      fedgate_round(s, p, h.alpha, h.gamma, h.tau, r),
-                      ("alpha", "gamma", "tau")),
-    "vrl_sgd": _gated(lambda s, p, w, h, r:
-                      fedgate_round(s, p, h.alpha, 1.0 / h.alpha, h.tau, r),
-                      ("alpha", "tau")),
-    "led_server": _gated(lambda s, p, w, h, r:
-                         led_server_round(s, p, h.alpha, h.beta_eff, h.gamma,
-                                          h.tau, r),
-                         ("alpha", "beta", "gamma", "tau")),
+    "fedgate": _server(lambda s, p, w, h, r:
+                       fedgate_round(s, p, h.alpha, h.gamma, h.tau, r),
+                       ("alpha", "gamma", "tau")),
+    "vrl_sgd": _server(lambda s, p, w, h, r:
+                       fedgate_round(s, p, h.alpha, 1.0 / h.alpha, h.tau, r),
+                       ("alpha", "tau")),
+    "led_server": _server(lambda s, p, w, h, r:
+                          led_server_round(s, p, h.alpha, h.beta_eff, h.gamma,
+                                           h.tau, r),
+                          ("alpha", "beta", "gamma", "tau")),
 }
 
 ALGORITHMS = tuple(METHODS)

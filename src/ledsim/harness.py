@@ -116,6 +116,8 @@ def _certified(problem: Problem, xbar: np.ndarray) -> tuple:
     return g, ~unsure | (g <= DIVERGENCE_LIMIT)
 
 
+# an overflow inside a round gives an inf or NaN metric, so ends as divergence
+@np.errstate(over="ignore", invalid="ignore")
 def _run_lanes(cfg: ExperimentConfig, hypers: list, points: np.ndarray,
                runs: np.ndarray, sums: np.ndarray, prune_at: Optional[tuple],
                defer: bool = False) -> Optional[list]:

@@ -19,11 +19,16 @@ from .rng import RngStream
 # a recorded grad_norm_sq above this (or inf, or NaN) ends its run
 DIVERGENCE_LIMIT = 1e12
 
+# a scale's bound: set-up products of two scales and a size stay finite
+SCALE_MAX = 1e100
+
 
 def _scale(name: str, value) -> float:
-    """value as a float, once it is finite and >= 0; NaN fails too."""
+    """value as a float, once it is in [0, SCALE_MAX]; NaN fails too."""
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if value > SCALE_MAX:
+        raise ValueError(f"{name} must be at most {SCALE_MAX:g}, got {value!r}")
     return float(value)
 
 
@@ -85,7 +90,9 @@ class Problem:
     mean_value.  A family defines grads and lipschitz(), a bound on every
     node's gradient Lipschitz constant, which tuning needs: for its default
     grid and for safe_radius.  A family with a known f_star defines
-    _mean_value, (1/N) sum_i f_i(x), which the harness needs for fgap."""
+    _mean_value, (1/N) sum_i f_i(x), which the harness needs for fgap.
+    Every scale passes _scale, so set-up stays finite; an oracle may still
+    overflow far from 0, and the harness reads that as divergence."""
 
     n_nodes: int
     dim: int
@@ -176,10 +183,6 @@ class LogisticProblem(Problem):
         self.n_nodes = len(datasets)
         self.dim = dims.pop()
         self.reg = _scale("reg", reg)
-        # lipschitz() and grads take 2 * reg
-        if not math.isfinite(2.0 * self.reg):
-            raise ValueError(f"reg must be at most {np.finfo(float).max / 2:.16g}, "
-                             f"so that 2 * reg is finite; got {reg!r}")
         self.sigma = _scale("sigma", sigma)
         # Labels folded into transposed features for the vectorized
         # whole-network gradient: _zt[n] = (y_s h_s)^T, shape (N, m, S), so
@@ -328,12 +331,12 @@ def quadratic_problem(n_nodes: int = 15, dim: int = 5, mu: float = 0.1,
     """
     if min(n_nodes, dim) < 1:
         raise ValueError(f"n_nodes and dim must be >= 1, got {n_nodes}, {dim}")
-    # a_bar + a_bar^T and the node sum of a stay below 2 n_nodes lip
-    top = np.finfo(float).max / (2 * n_nodes)
-    if not 0 < mu <= lip <= top:
-        raise ValueError(f"need 0 < mu <= lip < inf, and lip <= {top:.16g} so "
-                         f"that 2 * n_nodes * lip is finite; got mu={mu!r}, "
-                         f"lip={lip!r}")
+    if not 0 < mu <= lip < math.inf:
+        raise ValueError(f"need 0 < mu <= lip < inf, got mu={mu!r}, lip={lip!r}")
+    _scale("lip", lip)
+    # a_bar may round indefinite near a 1e15 spread; lip / mu could overflow
+    if lip > 1e12 * mu:
+        raise ValueError(f"need lip <= 1e12 * mu, got mu={mu!r}, lip={lip!r}")
     _scale("heterogeneity", heterogeneity)
     rng = RngStream(seed).child("quadratic")
     gauss = rng.child("basis").normal((dim, dim))

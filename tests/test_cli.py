@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: config parsing, subcommands, exit codes."""
 
+import math
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from ledsim import cli, harness
 from ledsim import topology as topo
 from ledsim.cli import COMMANDS, KNOWN_KEYS, ConfigError, main, parse_config_file
+from ledsim.problems import SCALE_MAX
 
 
 def _run(capsys, *argv):
@@ -349,10 +351,22 @@ def test_a_lip_whose_set_up_overflows_names_its_bound(tmp_path, capsys,
                           "--problem-kind", "quadratic", "--graph", "ring",
                           "--n", "5", "--rounds", "3", "--runs", "1")
     assert code == 1 and out == ""
-    assert err == ("error: need 0 < mu <= lip < inf, and lip <= "
-                   "1.797693134862316e+307 so that 2 * n_nodes * lip is "
-                   "finite; got mu=0.1, lip=1e+308\n")
+    assert err == "error: lip must be at most 1e+100, got 1e+308\n"
     assert not (tmp_path / "l.csv").exists()
+
+
+def test_a_lip_mu_spread_past_1e12_names_both_keys(tmp_path, capsys):
+    # lip = 1e17 on 15 nodes failed with "aggregate Hessian must be positive
+    # definite", which names no key
+    cfg = tmp_path / "spread.cfg"
+    cfg.write_text("problem.lip = 1e17\n")
+    code, out, err = _run(capsys, "--out", str(tmp_path / "s.csv"), "run",
+                          "--config", str(cfg), "--algo", "led",
+                          "--problem-kind", "quadratic", "--graph", "ring",
+                          "--n", "15", "--rounds", "3", "--runs", "1")
+    assert code == 1 and out == ""
+    assert err == "error: need lip <= 1e12 * mu, got mu=0.1, lip=1e+17\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 # every key but the three kind selectors, each set alone to each value on
@@ -360,22 +374,19 @@ def test_a_lip_whose_set_up_overflows_names_its_bound(tmp_path, capsys,
 _SURFACE_KEYS = sorted(KNOWN_KEYS - {"topology.graph", "problem.kind",
                                      "algorithm.id"})
 _SURFACE_VALUES = ("nan", "inf", "-inf", "-1", "0", "", "x", "1e-320", "3",
-                   "1.5")
+                   "1.5", "1e308", repr(SCALE_MAX),
+                   repr(float(np.nextafter(SCALE_MAX, math.inf))), "1e17")
 
 
 def test_every_config_key_and_value_ends_in_an_exit_code_not_a_traceback(
         tmp_path, capsys):
-    # run and tune on both problem kinds.  1e308 only for reg and lip, whose
-    # set-up refuses it: at 1e308 alpha, beta, sigma, sigma_u, sigma_h,
-    # feature_scale and heterogeneity still overflow with a RuntimeWarning
+    # run and tune on both problem kinds, with a RuntimeWarning an error
     base = {"topology.graph": "ring", "topology.n": "5", "algorithm.id": "led",
             "harness.rounds": "3", "harness.num_runs": "2",
             "problem.n_samples": "20"}
     cases = [({key: value}, key) for key in _SURFACE_KEYS
              for value in _SURFACE_VALUES]
-    cases += [({"problem.reg": "1e308"}, "problem.reg"),
-              ({"problem.lip": "1e308"}, "problem.lip"),
-              ({"problem.feature_scale": "0", "problem.reg": "0"}, "problem.reg")]
+    cases += [({"problem.feature_scale": "0", "problem.reg": "0"}, "problem.reg")]
     out_path = tmp_path / "o.csv"
     failures = []
     for i, (values, key) in enumerate(cases):

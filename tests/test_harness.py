@@ -5,6 +5,7 @@ import dataclasses
 import multiprocessing
 import pickle
 import random
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -146,6 +147,22 @@ def test_divergence_flagged_and_truncated():
     assert trace.diverged
     assert len(trace.rounds) < 201
     assert np.all(np.isfinite(trace.grad_norm_sq))
+
+
+def test_a_round_that_overflows_ends_as_divergence():
+    # alpha = 1e308 overflows inside a round: the run used to raise numpy's
+    # RuntimeWarnings; its metric is now inf or NaN, which ends it there
+    logistic = synth_logistic(SynthConfig(), seed=1)
+    cfgs = [_method_cfg(algo, num_runs=2, rounds=5) for algo in ALGORITHMS]
+    cfgs.append(_cfg(problem=logistic, num_runs=2, rounds=5))
+    for cfg in cfgs:
+        cfg = replace(cfg, hyper=replace(cfg.hyper, alpha=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            serial, parallel = (run_experiment(cfg, jobs=j) for j in (1, 2))
+        assert serial.diverged and len(serial.rounds) < 6, cfg.algorithm
+        assert np.all(np.isfinite(serial.grad_norm_sq)), cfg.algorithm
+        _assert_traces_equal(serial, parallel, cfg.algorithm)
 
 
 def test_recorded_metrics_equal_per_node_loops():
@@ -588,6 +605,19 @@ def test_tune_never_prunes_by_default():
     assert [(p.rounds_to_target, p.diverged) for p in res.points] == [
         (None, False), (None, False), (39, False), (21, False), (11, False),
         (54, False), (None, False), (None, True)]
+
+
+def test_an_unpruned_tune_reports_an_overflowing_point_as_diverged():
+    # its lane overflows in the batch and leaves it; every other point reads
+    # as it does without it
+    cfg = _method_cfg("led", num_runs=3, rounds=60)
+    base = tune_to_target(cfg, PRUNE_TARGET, alphas=PRUNE_GRID)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = tune_to_target(cfg, PRUNE_TARGET, alphas=(*PRUNE_GRID, 1e308))
+    assert res.points == (*base.points, harness.GridPoint(1e308, None, True))
+    assert res.best == base.best
+    _assert_traces_equal(res.best_trace, base.best_trace, "best")
 
 
 # ---------------------------------------------------------------------------

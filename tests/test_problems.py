@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from ledsim import (LogisticProblem, NodeDataset, QuadraticProblem, RngStream,
                     cli, harness, quadratic_problem, synth_logistic)
 from ledsim.harness import DIVERGENCE_LIMIT
-from ledsim.problems import Problem, SynthConfig, sigmoid, softplus
+from ledsim.problems import (SCALE_MAX, Problem, SynthConfig, sigmoid,
+                             softplus)
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +406,60 @@ def test_quadratic_lipschitz_is_the_largest_node_eigenvalue(quad6):
     assert QuadraticProblem(np.diag([3.0, 1.0]), np.zeros((2, 2))).lipschitz() == 3.0
 
 
-def test_logistic_problem_rejects_a_reg_whose_double_overflows(small_logistic):
+def test_logistic_problem_rejects_a_reg_past_scale_max(small_logistic):
     # reg = 1e308 made lipschitz() inf, so tune failed with "math domain
-    # error"; the largest accepted reg keeps 2 * reg finite
-    half = np.finfo(float).max / 2
+    # error"; the largest accepted reg keeps lipschitz() finite
     assert math.isfinite(LogisticProblem(small_logistic.datasets,
-                                         reg=half).lipschitz())
-    for reg in (np.nextafter(half, math.inf), 1e308):
-        with pytest.raises(ValueError, match="^reg must be at most 8.98"):
+                                         reg=SCALE_MAX).lipschitz())
+    for reg in (np.nextafter(SCALE_MAX, math.inf), 1e308):
+        with pytest.raises(ValueError, match=r"^reg must be at most 1e\+100, "):
             LogisticProblem(small_logistic.datasets, reg=reg)
+
+
+_PAST_SCALE_MAX = float(np.nextafter(SCALE_MAX, math.inf))
+
+
+@pytest.mark.parametrize("field", ["reg", "sigma_u", "sigma_h", "sigma",
+                                   "feature_scale"])
+def test_a_logistic_scale_up_to_scale_max_builds_without_overflow(field):
+    # every set-up product of a scale stays finite: h u, H^T H, 2 reg, and
+    # the metric at 0 that safe_radius takes
+    cfg = SynthConfig(n_nodes=3, dim=2, n_samples=20, **{field: SCALE_MAX})
+    problem = synth_logistic(cfg, seed=1)
+    assert math.isfinite(problem.lipschitz())
+    assert problem.safe_radius <= 1e99
+    with pytest.raises(ValueError, match=f"^{field} must be at most 1e\\+100"):
+        SynthConfig(**{field: _PAST_SCALE_MAX})
+
+
+@pytest.mark.parametrize("field", ["sigma", "heterogeneity", "lip"])
+def test_a_quadratic_scale_up_to_scale_max_builds_without_overflow(field):
+    # lip = SCALE_MAX needs mu within the 1e12 spread
+    base = dict(n_nodes=4, dim=3, mu=SCALE_MAX / 10, lip=SCALE_MAX, seed=1)
+    problem = quadratic_problem(**{**base, field: SCALE_MAX})
+    assert math.isfinite(problem.lipschitz()) and math.isfinite(problem.f_star)
+    with pytest.raises(ValueError, match=f"^{field} must be at most 1e\\+100"):
+        quadratic_problem(**{**base, field: _PAST_SCALE_MAX})
+
+
+def test_a_quadratic_spread_up_to_1e12_builds_and_the_next_float_is_refused():
+    # a lip / mu spread near 1e15 left the aggregate Hessian indefinite after
+    # rounding, and set-up failed with a message that named no key
+    mu = 0.1
+    lip = 1e12 * mu
+    for dim in (2, 3, 5, 10, 20, 50):
+        for n_nodes in (1, 4, 15):
+            for heterogeneity in (0.0, 1.0):
+                for seed in range(1, 11):
+                    problem = quadratic_problem(n_nodes, dim, mu=mu, lip=lip,
+                                                heterogeneity=heterogeneity,
+                                                seed=seed)
+                    assert problem.mu > 0, (dim, n_nodes, heterogeneity, seed)
+    for mu, lip in ((mu, np.nextafter(lip, math.inf)), (1e-320, 1.0),
+                    (0.1, 1e17)):
+        with pytest.raises(ValueError, match=r"^need lip <= 1e12 \* mu, got "
+                                             r"mu=.*, lip="):
+            quadratic_problem(15, 5, mu=mu, lip=lip, seed=1)
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan"), float("inf")])
