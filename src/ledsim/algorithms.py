@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problems import Problem
+from .problems import Problem, _count
 from .rng import RngStream
 from .topology import MixingMatrix
 
@@ -59,9 +59,7 @@ class HyperParams:
                                                 & (value < math.inf)):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
-        # a float tau would reach range() at the first step
-        if not isinstance(self.tau, (int, np.integer)) or self.tau < 1:
-            raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
+        _count("tau", self.tau)
         for name in ("p", "eta_pd"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in (0, 1]")

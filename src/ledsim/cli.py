@@ -21,7 +21,7 @@ from . import topology as topo
 from .algorithms import HyperParams, method
 from .harness import (ExperimentConfig, compare, default_alpha_grid,
                       run_experiment, stability_alpha, tune_to_target)
-from .problems import SynthConfig, quadratic_problem, synth_logistic
+from .problems import SynthConfig, _count, quadratic_problem, synth_logistic
 
 
 class ConfigError(Exception):
@@ -105,8 +105,8 @@ def _fields(cfg: dict, section: str, fn, names=None) -> dict:
 
 
 # the build_graph arguments each graph kind reads, as topology.<name> keys:
-# (name, cast, default); another kind's keys are set but not read
-_GRAPH_KEYS = {"grid": (("rows", int, None), ("cols", int, None)),
+# (name, cast, default, ... if required); other kinds' keys are not read
+_GRAPH_KEYS = {"grid": (("rows", int, ...), ("cols", int, ...)),
                "erdos_renyi": (("p", float, None), ("seed", int, 0))}
 
 # a config key names the parameter it sets; the keys that no signature
@@ -250,8 +250,8 @@ def cmd_run(args, cfg: dict) -> int:
 
 
 def cmd_tune(args, cfg: dict) -> int:
-    if args.grid_points is not None and args.grid_points < 1:
-        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
+    if args.grid_points is not None:
+        _count("--grid-points", args.grid_points)
     experiment = build_experiment(cfg, [_get(cfg, "algorithm.id", str)])
     target = _get(cfg, "harness.target", float, 1e-4)
     grid = None if args.grid_points is None else default_alpha_grid(

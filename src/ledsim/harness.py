@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algorithms import Driver, HyperParams, method
-from .problems import DIVERGENCE_LIMIT, Problem
+from .problems import DIVERGENCE_LIMIT, Problem, _count
 from .rng import RngStream
 from .topology import MixingMatrix
 
@@ -30,11 +30,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("rounds", "num_runs", "cadence"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
+            _count(name, getattr(self, name))
         method(self.algorithm, self.mixing)
         shape = (self.problem.n_nodes, self.problem.dim)
         if self.mixing.n != shape[0]:
@@ -259,9 +255,7 @@ def _pool(cfg: ExperimentConfig, jobs: int):
     """The workers of one run_experiment or tune_to_target call on cfg, as
     (k, map): k = min(jobs, num_runs) processes of one pool, or this process
     alone with the builtin map."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    k = min(jobs, cfg.num_runs)
+    k = min(_count("jobs", jobs), cfg.num_runs)
     if k == 1:
         yield k, map
         return
@@ -378,12 +372,13 @@ class TuneResult:
 
 
 def default_alpha_grid(stability_alpha: float, points: int = 20) -> np.ndarray:
-    """Log grid spanning four decades up to the stability estimate."""
+    """Log grid spanning four decades up to the stability estimate; one
+    point is its bottom alone, stability_alpha / 1e4, not the top."""
     if not 0 < stability_alpha < math.inf:
         raise ValueError("the stability stepsize must be positive and "
                          f"finite, got {stability_alpha!r}")
     hi = math.log10(stability_alpha)
-    return np.logspace(hi - 4.0, hi, points)
+    return np.logspace(hi - 4.0, hi, _count("points", points))
 
 
 def stability_alpha(problem: Problem) -> float:

@@ -32,6 +32,15 @@ def _scale(name: str, value) -> float:
     return float(value)
 
 
+def _count(name: str, value):
+    """value, once it is an int (a numpy one too, never a bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return value
+
+
 def softplus(t: np.ndarray) -> np.ndarray:
     """Numerically stable ln(1 + exp(t))."""
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
@@ -74,9 +83,7 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("n_nodes", "dim", "n_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, "
-                                 f"got {getattr(self, name)!r}")
+            _count(name, getattr(self, name))
         for name in ("reg", "sigma_u", "sigma_h", "sigma", "feature_scale"):
             _scale(name, getattr(self, name))
 
@@ -329,8 +336,8 @@ def quadratic_problem(n_nodes: int = 15, dim: int = 5, mu: float = 0.1,
     nodes are identical.  b_i = b_bar + heterogeneity * d_i with centered d_i,
     so the gradient spread at the all-zeros point is set by the b spread alone.
     """
-    if min(n_nodes, dim) < 1:
-        raise ValueError(f"n_nodes and dim must be >= 1, got {n_nodes}, {dim}")
+    _count("n_nodes", n_nodes)
+    _count("dim", dim)
     if not 0 < mu <= lip < math.inf:
         raise ValueError(f"need 0 < mu <= lip < inf, got mu={mu!r}, lip={lip!r}")
     _scale("lip", lip)

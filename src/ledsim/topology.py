@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .problems import _count
 from .rng import RngStream
 
 
@@ -17,8 +18,7 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError("graph needs at least one node")
+        _count("n_nodes", self.n_nodes)
         seen = set()
         for i, j in self.edges:
             if i == j:
@@ -66,8 +66,7 @@ def build_graph(kind: str, n: int, rows: int | None = None, cols: int | None = N
     rows*cols == n; erdos_renyi resamples up to 100 times until the draw is
     connected, attempt k drawing from RngStream(seed).child("erdos_renyi", k).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _count("n", n)
     if kind == "ring":
         if n == 1:
             edges = set()
@@ -76,7 +75,7 @@ def build_graph(kind: str, n: int, rows: int | None = None, cols: int | None = N
     elif kind == "complete":
         edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
     elif kind == "grid":
-        if rows is None or cols is None or rows * cols != n:
+        if _count("rows", rows) * _count("cols", cols) != n:
             raise ValueError("grid requires rows*cols == n")
         edges = set()
         for r in range(rows):
@@ -186,4 +185,5 @@ def validate_combination_matrix(w: MixingMatrix) -> CombinationReport:
 
 def complete_mixing(n: int) -> MixingMatrix:
     """Fully connected averaging matrix (1/N) 1 1^T."""
+    _count("n", n)
     return MixingMatrix.from_dense(np.full((n, n), 1.0 / n))

@@ -1,6 +1,7 @@
 """Single-round behavior, invariants, and communication accounting."""
 
 import pickle
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from ledsim import (Driver, ExperimentConfig, HyperParams, QuadraticProblem,
                     run_experiment, synth_logistic)
 from ledsim.algorithms import (ALGORITHMS, METHODS, GateState,
                                PrimalDualState, PrimalState, ScaffnewState,
-                               TrackingState, consensus_sqrt,
+                               ScaffoldState, TrackingState, consensus_sqrt,
                                ed_eliminated_step, ed_init, fedgate_round,
                                k_gt_round, led1_step, led_init, led_round,
                                led_server_round, local_dsgd_round, pdfp2o_step,
@@ -641,8 +642,9 @@ def test_hyperparams_defaults_and_validation():
         HyperParams(alpha=0.1, tau=0)
     # tau counts local steps: a float one used to fail at the first step
     assert HyperParams(tau=np.int64(3)).beta_eff == pytest.approx(1 / 3)
-    for bad in (2.5, 3.0, float("nan"), "3", None):
-        with pytest.raises(ValueError, match="^tau must be an integer >= 1"):
+    for bad in (2.5, 3.0, float("nan"), "3", None, True):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"tau must be an integer, got {bad!r}") + "$"):
             HyperParams(alpha=0.1, tau=bad)
     with pytest.raises(ValueError):
         HyperParams(alpha=0.1, p=0.0)
@@ -809,3 +811,125 @@ def test_led1_ignores_tau(quad6_noisy, ring6):
             st = d.step(st, stream).state
             ref = led1_step(ref, quad6_noisy, ring6, 0.1, 1.0, stream).state
         assert np.array_equal(st.x, ref.x) and np.array_equal(st.y, ref.y), tau
+
+
+# ---------------------------------------------------------------------------
+# per-node, per-step loop references, each from its step's docstring formula
+# ---------------------------------------------------------------------------
+
+def _noise(problem, stream, t):
+    """The (N, m) gradient noise of local step t, drawn through generator(),
+    not through the oracle's shared draw."""
+    draw = stream.child("grad_noise", t).generator().standard_normal(
+        (problem.n_nodes, problem.dim))
+    return problem.sigma * draw
+
+
+def _mix(w, v, i):
+    """sum_j w_ij v_j, term by term."""
+    return sum(w[i, j] * v[j] for j in range(len(v)))
+
+
+def _kgt_loop(x, c, problem, w, alpha, tau, eta, stream):
+    """k_gt_round: tau steps along grad + c_i from x_i; b_i the round-average
+    direction; x+ = W phi, c+ = c + (W - I) b."""
+    n, m = x.shape
+    noise = [_noise(problem, stream, t) for t in range(tau)]
+    phi, b, ledger = np.empty((n, m)), np.empty((n, m)), np.zeros((tau, m))
+    for i in range(n):
+        p, direction = x[i].copy(), np.zeros(m)
+        for t in range(tau):
+            g = problem.grad(i, p) + noise[t][i]
+            ledger[t] += g / n
+            p = p - alpha * (g + c[i])
+            direction += (g + c[i]) / tau
+        phi[i], b[i] = p, direction
+    x_new = np.array([_mix(w, phi, i) for i in range(n)])
+    c_new = np.array([c[i] + _mix(w, b, i) - b[i] for i in range(n)])
+    return (x_new, c_new), ledger
+
+
+def _scaffold_loop(x, c, problem, w, alpha, tau, eta, stream):
+    """scaffold_round: tau steps along grad - c_i + c_bar from the server's
+    x; x+ = mean_i phi_i; c_i+ = c_i - c_bar + (x - phi_i) / (tau alpha)."""
+    n, m = c.shape
+    noise = [_noise(problem, stream, t) for t in range(tau)]
+    c_bar = sum(c[i] for i in range(n)) / n
+    phi, ledger = np.empty((n, m)), np.zeros((tau, m))
+    for i in range(n):
+        p = x.copy()
+        for t in range(tau):
+            g = problem.grad(i, p) + noise[t][i]
+            ledger[t] += g / n
+            p = p - alpha * (g - c[i] + c_bar)
+        phi[i] = p
+    x_new = sum(phi[i] for i in range(n)) / n
+    c_new = np.array([c[i] - c_bar + (x - phi[i]) / (tau * alpha)
+                      for i in range(n)])
+    return (x_new, c_new), ledger
+
+
+def _pdfp2o_loop(x, y, problem, w, alpha, tau, eta, stream):
+    """pdfp2o_step: Phi_i = x_i - alpha grad_i - eta y_i; y+ = y + (I - W) Phi;
+    x+ = ((1 - eta) I + eta W) Phi."""
+    n, m = x.shape
+    noise = _noise(problem, stream, 0)
+    phi, ledger = np.empty((n, m)), np.zeros((1, m))
+    for i in range(n):
+        g = problem.grad(i, x[i]) + noise[i]
+        ledger[0] += g / n
+        phi[i] = x[i] - alpha * g - eta * y[i]
+    y_new = np.array([y[i] + phi[i] - _mix(w, phi, i) for i in range(n)])
+    x_new = np.array([(1 - eta) * phi[i] + eta * _mix(w, phi, i)
+                      for i in range(n)])
+    return (x_new, y_new), ledger
+
+
+# name: (state class, step(state, problem, w, alpha, tau, eta, stream), loop)
+_LOOPS = {
+    "kgt": (TrackingState, lambda s, p, w, a, tau, eta, r:
+            k_gt_round(s, p, w, a, tau, r), _kgt_loop),
+    "scaffold": (ScaffoldState, lambda s, p, w, a, tau, eta, r:
+                 scaffold_round(s, p, a, tau, r), _scaffold_loop),
+    "pdfp2o": (PrimalDualState, lambda s, p, w, a, tau, eta, r:
+               pdfp2o_step(s, p, w, a, eta, r), _pdfp2o_loop),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(algo=st.sampled_from(sorted(_LOOPS)), seed=st.integers(0, 2**32),
+       tau=st.integers(1, 5), alpha=st.floats(0.01, 0.3),
+       eta=st.floats(0.05, 1.0), lanes=st.integers(0, 3))
+def test_steps_equal_their_per_node_loop_references(quad6_noisy, ring6, algo,
+                                                    seed, tau, alpha, eta,
+                                                    lanes):
+    # lanes = 0 steps (N, m) states on run 0's stream; lanes >= 1 steps
+    # (L, N, m) states with an (L, 1, 1) alpha on the streams of runs 0, 0, 1,
+    # and lane k's loop runs on its run's own stream
+    cls, step, loop = _LOOPS[algo]
+    count = max(lanes, 1)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(count,) + ((4,) if algo == "scaffold" else (6, 4)))
+    corr = 0.1 * rng.normal(size=(count, 6, 4))
+    alphas = alpha * np.array([1.0, 0.7, 0.4])[:count]
+    runs = [0, 0, 1][:count]
+    state = cls(x, corr) if lanes else cls(x[0], corr[0])
+    stream = RngStream.for_runs(seed, runs)
+    refs = list(zip(x, corr))
+    for r in range(3):
+        out = step(state, quad6_noisy, ring6,
+                   alphas[:, None, None] if lanes else alpha, tau, eta,
+                   stream.child("round", r))
+        state = out.state
+        for k, run in enumerate(runs):
+            refs[k], ledger = loop(*refs[k], quad6_noisy, ring6.w, alphas[k],
+                                   tau, eta, RngStream(seed).child(
+                                       "run", run, "round", r))
+            got = [getattr(state, f.name) for f in fields(state)]
+            got.append(out.grad_ledger)
+            if lanes:
+                got = [g[k] for g in got]
+            for name, g, want in zip(("x", "correction", "ledger"), got,
+                                     (*refs[k], ledger)):
+                assert g.shape == want.shape, (r, k, name)
+                assert np.max(np.abs(g - want)) <= 1e-12, (r, k, name)

@@ -178,6 +178,17 @@ def test_spectra_invalid_graph_kind(capsys):
     assert code == 1 and "moebius" in err
 
 
+@pytest.mark.parametrize("argv,err", [
+    # a grid without its sides used to read "grid requires rows*cols == n"
+    (["--n", "4", "--cols", "2"], "error: missing required key 'topology.rows'\n"),
+    (["--n", "4", "--rows", "2"], "error: missing required key 'topology.cols'\n"),
+    # their product is n, so this used to fail as "graph is not connected"
+    (["--n", "5", "--rows", "-1", "--cols", "-5"],
+     "error: rows must be >= 1, got -1\n")])
+def test_a_grid_side_names_its_key(capsys, argv, err):
+    assert _run(capsys, "spectra", "--graph", "grid", *argv) == (1, "", err)
+
+
 def test_erdos_renyi_that_never_connects_is_config_error(capsys):
     code, out, err = _run(capsys, "spectra", "--graph", "erdos_renyi",
                           "--n", "6", "--p", "0")

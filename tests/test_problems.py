@@ -517,7 +517,7 @@ def test_quadratic_suite_rejects_bad_sizes_and_heterogeneity():
         with pytest.raises(ValueError, match="^heterogeneity must be finite"):
             quadratic_problem(**{**base, "heterogeneity": bad})
     for key in ("n_nodes", "dim"):
-        with pytest.raises(ValueError, match="n_nodes and dim must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
             quadratic_problem(**{**base, key: 0})
 
 

@@ -101,10 +101,10 @@ def test_self_loop_rejected():
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: Graph(0, frozenset()), "graph needs at least one node"),
+    (lambda: Graph(0, frozenset()), "^n_nodes must be >= 1, got 0$"),
     (lambda: Graph(3, frozenset({(0, 1), (1, 3)})), r"edge \(1,3\) out of range"),
     (lambda: Graph(3, frozenset({(-1, 0), (0, 1)})), r"edge \(-1,0\) out of range"),
-    (lambda: build_graph("ring", 0), "n must be >= 1"),
+    (lambda: build_graph("ring", 0), "^n must be >= 1, got 0$"),
     (lambda: build_graph("erdos_renyi", 5), r"p in \[0,1\]"),
     (lambda: build_graph("erdos_renyi", 5, p=1.5), r"p in \[0,1\]"),
     (lambda: MixingMatrix.from_dense(np.full((2, 3), 1 / 3)), "must be square"),
