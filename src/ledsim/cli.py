@@ -32,8 +32,8 @@ _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value file with dotted section prefixes; '#' comments."""
-    values = {}
+    """Flat key=value file, each key once; dotted sections; '#' comments."""
+    values, first = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -45,7 +45,10 @@ def parse_config_file(path: str) -> dict:
             key, val = key.strip(), val.strip()
             if key not in KNOWN_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val
+            if key in first:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeated "
+                                  f"(first set on line {first[key]})")
+            values[key], first[key] = val, lineno
     return values
 
 

@@ -495,7 +495,7 @@ class NoiseFloor:
     stationary: bool
 
 
-def noise_floor(cfg: ExperimentConfig, jobs: int = 1) -> NoiseFloor:
+def noise_floor(cfg: ExperimentConfig) -> NoiseFloor:
     """Mean E||x_bar - x*||^2 over the last quarter of a long run.
 
     Requires a problem with a known minimizer.  The stationarity flag compares
@@ -504,7 +504,7 @@ def noise_floor(cfg: ExperimentConfig, jobs: int = 1) -> NoiseFloor:
     """
     if cfg.problem.x_star is None:
         raise ValueError("noise_floor needs a problem with a known minimizer")
-    trace = run_experiment(cfg, jobs=jobs)
+    trace = run_experiment(cfg)
     if trace.diverged:
         where = (f"; its last finite recorded round is {trace.rounds[-1]}"
                  if len(trace.rounds) else " at the initial point")

@@ -94,12 +94,13 @@ class Problem:
     grads, grads_at, sampled_grads and global_grad_norm_sq take leading
     batch axes, (..., N, m) node points or (..., m) shared points, and give
     each slice bitwise what it gives alone; so does the quadratic
-    mean_value.  A family defines grads and lipschitz(), a bound on every
-    node's gradient Lipschitz constant, which tuning needs: for its default
-    grid and for safe_radius.  A family with a known f_star defines
-    _mean_value, (1/N) sum_i f_i(x), which the harness needs for fgap.
-    Every scale passes _scale, so set-up stays finite; an oracle may still
-    overflow far from 0, and the harness reads that as divergence."""
+    mean_value.  A family defines grads and stores _lipschitz at set-up: L,
+    a bound on every node's gradient Lipschitz constant, which lipschitz()
+    returns for tuning's default grid and safe_radius.  A family with a
+    known f_star defines _mean_value, (1/N) sum_i f_i(x), which the harness
+    needs for fgap.  Every scale passes _scale, so set-up stays finite; an
+    oracle may still overflow far from 0, and the harness reads that as
+    divergence."""
 
     n_nodes: int
     dim: int
@@ -169,7 +170,8 @@ class Problem:
         return float(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1)))
 
     def lipschitz(self) -> float:
-        raise NotImplementedError
+        """The smoothness bound L the family stored at construction."""
+        return self._lipschitz
 
     def point_bytes(self) -> int:
         """Bytes of the largest temporary that grads builds per (N, m) point."""
@@ -203,6 +205,11 @@ class LogisticProblem(Problem):
             np.multiply(d.features.T, d.labels, out=zt)
         if not np.isfinite(self._zt).all():
             raise ValueError("features must be finite")
+        # L: (1/4S) lam_max(H_i^T H_i), plus 2 reg, which bounds the
+        # regularizer's second derivative
+        grams = np.stack([d.features.T @ d.features for d in self.datasets])
+        self._lipschitz = (float(np.linalg.eigvalsh(grams)[:, -1].max())
+                           / (4.0 * self._zt.shape[2]) + 2.0 * self.reg)
 
     def value(self, i: int, x: np.ndarray) -> float:
         d = self.datasets[i]
@@ -236,13 +243,6 @@ class LogisticProblem(Problem):
     def point_bytes(self) -> int:
         # the (N, S) margins
         return 8 * self._zt.shape[0] * self._zt.shape[2]
-
-    def lipschitz(self) -> float:
-        """Smoothness bound: logistic term (1/4S) lam_max(H_i^T H_i), plus the
-        regularizer whose second derivative is bounded by 2."""
-        grams = np.stack([d.features.T @ d.features for d in self.datasets])
-        worst = float(np.linalg.eigvalsh(grams)[:, -1].max())
-        return worst / (4.0 * self._zt.shape[2]) + 2.0 * self.reg
 
 
 def synth_logistic(cfg: SynthConfig, seed: int) -> LogisticProblem:
@@ -319,10 +319,6 @@ class QuadraticProblem(Problem):
 
     def grads(self, x_nodes: np.ndarray) -> np.ndarray:
         return np.einsum("nij,...nj->...ni", self.a, x_nodes) - self.b
-
-    def lipschitz(self) -> float:
-        """The largest per-node Hessian eigenvalue, found by __init__."""
-        return self._lipschitz
 
 
 def quadratic_problem(n_nodes: int = 15, dim: int = 5, mu: float = 0.1,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ledsim import (Driver, ExperimentConfig, HyperParams, QuadraticProblem,
                     RngStream, complete_mixing, quadratic_problem,
                     run_experiment, synth_logistic)
-from ledsim.algorithms import (ALGORITHMS, METHODS, GateState,
+from ledsim.algorithms import (ALGORITHMS, METHODS, GateState, LedState,
                                PrimalDualState, PrimalState, ScaffnewState,
                                ScaffoldState, TrackingState, consensus_sqrt,
                                ed_eliminated_step, ed_init, fedgate_round,
@@ -830,10 +830,66 @@ def _mix(w, v, i):
     return sum(w[i, j] * v[j] for j in range(len(v)))
 
 
-def _kgt_loop(x, c, problem, w, alpha, tau, eta, stream):
+def _steps(problem, stream, tau, start, direction):
+    """Node by node, tau steps p <- p - direction(i, g) from start[i], where
+    g = grad_i(p) plus step t's noise; the final points and the (tau, m)
+    ledger of network-mean sampled gradients."""
+    n, m = start.shape
+    noise = [_noise(problem, stream, t) for t in range(tau)]
+    phi, ledger = np.empty((n, m)), np.zeros((tau, m))
+    for i in range(n):
+        p = start[i].copy()
+        for t in range(tau):
+            g = problem.grad(i, p) + noise[t][i]
+            ledger[t] += g / n
+            p = p - direction(i, g)
+        phi[i] = p
+    return phi, ledger
+
+
+def _led_loop(x, y, problem, w, h, stream, tau, beta):
+    """led_round: tau steps phi_i <- phi_i - alpha grad_i - beta y_i from x_i;
+    x+ = W phi, y+ = y + phi - x+."""
+    phi, ledger = _steps(problem, stream, tau, x,
+                         lambda i, g: h.alpha * g + beta * y[i])
+    x_new = np.array([_mix(w, phi, i) for i in range(len(x))])
+    return (x_new, y + phi - x_new), ledger
+
+
+def _dsgd_loop(x, problem, w, h, stream, tau):
+    """local_dsgd_round: tau plain SGD steps per node, then x+ = W phi."""
+    phi, ledger = _steps(problem, stream, tau, x, lambda i, g: h.alpha * g)
+    return (np.array([_mix(w, phi, i) for i in range(len(x))]),), ledger
+
+
+def _local_sgd_loop(x, problem, w, h, stream):
+    """local_sgd: tau plain SGD steps per node, then every node takes the
+    mean of the phi_j."""
+    phi, ledger = _steps(problem, stream, h.tau, x, lambda i, g: h.alpha * g)
+    mean = sum(phi[j] for j in range(len(x))) / len(x)
+    return (np.array([mean for _ in range(len(x))]),), ledger
+
+
+def _scaffnew_loop(x, z, problem, w, h, stream):
+    """scaffnew_round: phi = x - alpha (grad + z); with probability p (a coin
+    drawn only for p < 1) x+ = (1 - a) phi + a W phi, a = alpha zeta / p, and
+    z+ = z + (p / alpha)(phi - x+); otherwise x+ = phi, z+ = z.  zeta
+    defaults to p / alpha."""
+    zeta = h.p / h.alpha if h.zeta is None else h.zeta
+    phi, ledger = _steps(problem, stream, 1, x, lambda i, g: h.alpha * (g + z[i]))
+    if h.p < 1 and not stream.child("comm").generator().random() < h.p:
+        return (phi, z), ledger
+    a = h.alpha * zeta / h.p
+    x_new = np.array([(1 - a) * phi[i] + a * _mix(w, phi, i)
+                      for i in range(len(x))])
+    return (x_new, z + (h.p / h.alpha) * (phi - x_new)), ledger
+
+
+def _kgt_loop(x, c, problem, w, h, stream):
     """k_gt_round: tau steps along grad + c_i from x_i; b_i the round-average
     direction; x+ = W phi, c+ = c + (W - I) b."""
     n, m = x.shape
+    alpha, tau = h.alpha, h.tau
     noise = [_noise(problem, stream, t) for t in range(tau)]
     phi, b, ledger = np.empty((n, m)), np.empty((n, m)), np.zeros((tau, m))
     for i in range(n):
@@ -849,87 +905,121 @@ def _kgt_loop(x, c, problem, w, alpha, tau, eta, stream):
     return (x_new, c_new), ledger
 
 
-def _scaffold_loop(x, c, problem, w, alpha, tau, eta, stream):
+def _scaffold_loop(x, c, problem, w, h, stream):
     """scaffold_round: tau steps along grad - c_i + c_bar from the server's
     x; x+ = mean_i phi_i; c_i+ = c_i - c_bar + (x - phi_i) / (tau alpha)."""
     n, m = c.shape
-    noise = [_noise(problem, stream, t) for t in range(tau)]
+    alpha, tau = h.alpha, h.tau
     c_bar = sum(c[i] for i in range(n)) / n
-    phi, ledger = np.empty((n, m)), np.zeros((tau, m))
-    for i in range(n):
-        p = x.copy()
-        for t in range(tau):
-            g = problem.grad(i, p) + noise[t][i]
-            ledger[t] += g / n
-            p = p - alpha * (g - c[i] + c_bar)
-        phi[i] = p
+    phi, ledger = _steps(problem, stream, tau, np.array([x] * n),
+                         lambda i, g: alpha * (g - c[i] + c_bar))
     x_new = sum(phi[i] for i in range(n)) / n
     c_new = np.array([c[i] - c_bar + (x - phi[i]) / (tau * alpha)
                       for i in range(n)])
     return (x_new, c_new), ledger
 
 
-def _pdfp2o_loop(x, y, problem, w, alpha, tau, eta, stream):
+def _gate_loop(x, y, problem, w, h, stream, pull, mix):
+    """_gated_round: tau steps phi_i <- phi_i - alpha grad_i - pull y_i from
+    the shared x; x+ = (1 - mix) x + mix mean(phi); y_i+ = y_i + phi_i -
+    mean(phi)."""
+    n = len(y)
+    phi, ledger = _steps(problem, stream, h.tau, np.array([x] * n),
+                         lambda i, g: h.alpha * g + pull * y[i])
+    phi_bar = sum(phi[i] for i in range(n)) / n
+    y_new = np.array([y[i] + phi[i] - phi_bar for i in range(n)])
+    return ((1 - mix) * x + mix * phi_bar, y_new), ledger
+
+
+def _pdfp2o_loop(x, y, problem, w, h, stream):
     """pdfp2o_step: Phi_i = x_i - alpha grad_i - eta y_i; y+ = y + (I - W) Phi;
     x+ = ((1 - eta) I + eta W) Phi."""
-    n, m = x.shape
-    noise = _noise(problem, stream, 0)
-    phi, ledger = np.empty((n, m)), np.zeros((1, m))
-    for i in range(n):
-        g = problem.grad(i, x[i]) + noise[i]
-        ledger[0] += g / n
-        phi[i] = x[i] - alpha * g - eta * y[i]
-    y_new = np.array([y[i] + phi[i] - _mix(w, phi, i) for i in range(n)])
-    x_new = np.array([(1 - eta) * phi[i] + eta * _mix(w, phi, i)
-                      for i in range(n)])
-    return (x_new, y_new), ledger
+    eta = h.eta_pd
+    phi, ledger = _steps(problem, stream, 1, x,
+                         lambda i, g: h.alpha * g + eta * y[i])
+    mixed = np.array([_mix(w, phi, i) for i in range(len(x))])
+    return ((1 - eta) * phi + eta * mixed, y + phi - mixed), ledger
 
 
-# name: (state class, step(state, problem, w, alpha, tau, eta, stream), loop)
+# name: (state class, loop(*fields, problem, w, h, stream)), each loop on one
+# lane's scalar HyperParams, whose unset beta and zeta it resolves itself
 _LOOPS = {
-    "kgt": (TrackingState, lambda s, p, w, a, tau, eta, r:
-            k_gt_round(s, p, w, a, tau, r), _kgt_loop),
-    "scaffold": (ScaffoldState, lambda s, p, w, a, tau, eta, r:
-                 scaffold_round(s, p, a, tau, r), _scaffold_loop),
-    "pdfp2o": (PrimalDualState, lambda s, p, w, a, tau, eta, r:
-               pdfp2o_step(s, p, w, a, eta, r), _pdfp2o_loop),
+    "led": (LedState, lambda x, y, p, w, h, r: _led_loop(
+        x, y, p, w, h, r, h.tau, 1 / h.tau if h.beta is None else h.beta)),
+    "led1": (LedState, lambda x, y, p, w, h, r: _led_loop(
+        x, y, p, w, h, r, 1, 1.0 if h.beta is None else h.beta)),
+    "pdfp2o": (PrimalDualState, _pdfp2o_loop),
+    "scaffnew": (ScaffnewState, _scaffnew_loop),
+    "dsgd": (PrimalState, lambda x, p, w, h, r: _dsgd_loop(x, p, w, h, r, 1)),
+    "local_dsgd": (PrimalState, lambda x, p, w, h, r:
+                   _dsgd_loop(x, p, w, h, r, h.tau)),
+    "kgt": (TrackingState, _kgt_loop),
+    "scaffold": (ScaffoldState, _scaffold_loop),
+    "local_sgd": (PrimalState, _local_sgd_loop),
+    "fedgate": (GateState, lambda x, y, p, w, h, r: _gate_loop(
+        x, y, p, w, h, r, 1 / h.tau, h.alpha * h.gamma)),
+    "vrl_sgd": (GateState, lambda x, y, p, w, h, r: _gate_loop(
+        x, y, p, w, h, r, 1 / h.tau, 1.0)),
+    "led_server": (GateState, lambda x, y, p, w, h, r: _gate_loop(
+        x, y, p, w, h, r, 1 / h.tau if h.beta is None else h.beta, h.gamma)),
 }
 
 
-@settings(max_examples=60, deadline=None)
-@given(algo=st.sampled_from(sorted(_LOOPS)), seed=st.integers(0, 2**32),
+def test_every_method_has_a_loop_reference():
+    assert set(_LOOPS) == set(METHODS)
+
+
+@settings(max_examples=600, deadline=None)
+@example(algo="scaffnew", seed=3, tau=1, alpha=0.2, eta=1.0, lanes=3,
+         beta=None, gamma=1.0, p=0.5, zeta=None)
+@example(algo="scaffnew", seed=4, tau=1, alpha=0.2, eta=1.0, lanes=0,
+         beta=None, gamma=1.0, p=0.7, zeta=0.5)
+@example(algo="led", seed=5, tau=3, alpha=0.1, eta=1.0, lanes=2,
+         beta=None, gamma=1.0, p=1.0, zeta=None)
+@example(algo="led1", seed=6, tau=3, alpha=0.1, eta=1.0, lanes=0,
+         beta=None, gamma=1.0, p=1.0, zeta=None)
+@example(algo="vrl_sgd", seed=7, tau=2, alpha=0.1, eta=1.0, lanes=3,
+         beta=None, gamma=1.0, p=1.0, zeta=None)
+@given(algo=st.sampled_from(ALGORITHMS), seed=st.integers(0, 2**32),
        tau=st.integers(1, 5), alpha=st.floats(0.01, 0.3),
-       eta=st.floats(0.05, 1.0), lanes=st.integers(0, 3))
-def test_steps_equal_their_per_node_loop_references(quad6_noisy, ring6, algo,
-                                                    seed, tau, alpha, eta,
-                                                    lanes):
+       eta=st.floats(0.05, 1.0), lanes=st.integers(0, 3),
+       beta=st.none() | st.floats(0.05, 1.0), gamma=st.floats(0.2, 3.0),
+       p=st.just(1.0) | st.floats(0.2, 0.95),
+       zeta=st.none() | st.floats(0.1, 1.0))
+def test_steps_equal_their_per_node_loop_references(
+        quad6_noisy, ring6, complete6, algo, seed, tau, alpha, eta, lanes, beta,
+        gamma, p, zeta):
     # lanes = 0 steps (N, m) states on run 0's stream; lanes >= 1 steps
     # (L, N, m) states with an (L, 1, 1) alpha on the streams of runs 0, 0, 1,
-    # and lane k's loop runs on its run's own stream
-    cls, step, loop = _LOOPS[algo]
+    # and lane k's loop runs on its run's own stream.  zeta is drawn as the
+    # mixing weight alpha * zeta / p at the largest alpha
+    cls, loop = _LOOPS[algo]
+    spec = METHODS[algo]
+    w = complete6 if spec.centralized else ring6
     count = max(lanes, 1)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(count,) + ((4,) if algo == "scaffold" else (6, 4)))
+    x = rng.normal(size=(count,) + ((4,) if spec.shared else (6, 4)))
     corr = 0.1 * rng.normal(size=(count, 6, 4))
     alphas = alpha * np.array([1.0, 0.7, 0.4])[:count]
     runs = [0, 0, 1][:count]
-    state = cls(x, corr) if lanes else cls(x[0], corr[0])
+    refs = [(xk, ck)[:len(fields(cls))] for xk, ck in zip(x, corr)]
+    state = cls(*(np.stack(f) for f in zip(*refs))) if lanes else cls(*refs[0])
+    hyper = dict(beta=beta, gamma=gamma, tau=tau, p=p, eta_pd=eta,
+                 zeta=None if zeta is None else zeta * p / alpha)
+    h = HyperParams(alpha=alphas[:, None, None] if lanes else alpha, **hyper)
     stream = RngStream.for_runs(seed, runs)
-    refs = list(zip(x, corr))
+    names = [f.name for f in fields(cls)] + ["ledger"]
     for r in range(3):
-        out = step(state, quad6_noisy, ring6,
-                   alphas[:, None, None] if lanes else alpha, tau, eta,
-                   stream.child("round", r))
+        out = spec.step(state, quad6_noisy, w, h, stream.child("round", r))
         state = out.state
         for k, run in enumerate(runs):
-            refs[k], ledger = loop(*refs[k], quad6_noisy, ring6.w, alphas[k],
-                                   tau, eta, RngStream(seed).child(
-                                       "run", run, "round", r))
+            refs[k], ledger = loop(*refs[k], quad6_noisy, w.w, HyperParams(
+                alpha=alphas[k], **hyper), RngStream(seed).child(
+                    "run", run, "round", r))
             got = [getattr(state, f.name) for f in fields(state)]
             got.append(out.grad_ledger)
             if lanes:
                 got = [g[k] for g in got]
-            for name, g, want in zip(("x", "correction", "ledger"), got,
-                                     (*refs[k], ledger)):
+            for name, g, want in zip(names, got, (*refs[k], ledger)):
                 assert g.shape == want.shape, (r, k, name)
                 assert np.max(np.abs(g - want)) <= 1e-12, (r, k, name)

@@ -70,6 +70,21 @@ def test_parse_config_rejects_malformed_line(tmp_path):
         parse_config_file(str(cfg))
 
 
+def test_a_repeated_config_key_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("harness.rounds = 5\n# rounds again\nharness.rounds = 7\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config_file(str(cfg))
+    assert str(info.value) == (f"{cfg}:3: key 'harness.rounds' repeated "
+                               "(first set on line 1)")
+    out = tmp_path / "dup.csv"
+    code, _, err = _run(capsys, "--out", str(out), "run", "--config",
+                        str(cfg), "--algo", "led", "--graph", "ring", "--n",
+                        "5", "--runs", "1")
+    assert code == 1 and not out.exists()
+    assert err == f"error: {info.value}\n"
+
+
 def test_cli_reports_config_errors_as_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense.key = 1\n")

@@ -991,7 +991,7 @@ def _floor_of(monkeypatch, dist):
     trace = Trace(rounds=np.arange(len(dist)), grad_norm_sq=dist,
                   consensus_err=dist, fgap=None,
                   vectors_per_link=np.zeros(len(dist)), dist_to_opt_sq=dist)
-    monkeypatch.setattr(harness, "run_experiment", lambda cfg, jobs: trace)
+    monkeypatch.setattr(harness, "run_experiment", lambda cfg: trace)
     return noise_floor(_cfg())
 
 

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ledsim import (LogisticProblem, NodeDataset, QuadraticProblem, RngStream,
-                    cli, harness, quadratic_problem, synth_logistic)
+from ledsim import (ExperimentConfig, HyperParams, LogisticProblem,
+                    NodeDataset, QuadraticProblem, RngStream, build_graph, cli,
+                    harness, metropolis_weights, quadratic_problem,
+                    synth_logistic)
 from ledsim.harness import DIVERGENCE_LIMIT
 from ledsim.problems import (SCALE_MAX, Problem, SynthConfig, sigmoid,
                              softplus)
@@ -191,6 +193,42 @@ def test_lipschitz_bounds_observed_curvature(small_logistic):
             lhs = np.linalg.norm(small_logistic.grad(i, x)
                                  - small_logistic.grad(i, y))
             assert lhs <= lip * np.linalg.norm(x - y) * (1 + 1e-9)
+
+
+def test_logistic_L_is_derived_once_at_construction(tmp_path, monkeypatch):
+    # counts eigendecompositions of (N, m, m) Gram stacks; a mixing matrix's
+    # spectrum is an (n, n) call and does not count
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    p = synth_logistic(SynthConfig(n_nodes=4, dim=3, n_samples=30), seed=2)
+    assert stacks == [(4, 3, 3)]
+    lip = p.lipschitz()
+    assert harness.stability_alpha(p) == 1.0 / lip
+    assert p.safe_radius > 0
+    cfg = ExperimentConfig(
+        algorithm="led", problem=p,
+        mixing=metropolis_weights(build_graph("ring", 4)),
+        hyper=HyperParams(alpha=0.1, tau=2), rounds=3, num_runs=1)
+    assert len(harness.tune_to_target(cfg, 1e-4).points) == 20
+    assert stacks == [(4, 3, 3)] and p.lipschitz() == lip
+    # the CLI builds its problem once, and reads L from it for the default
+    # grid, --grid-points' grid and the safe radius
+    (tmp_path / "small.cfg").write_text("problem.dim = 3\n"
+                                        "problem.n_samples = 30\n")
+    for command in (["tune", "--algo", "led", "--grid-points", "3"],
+                    ["compare", "--algos", "led,kgt"]):
+        stacks.clear()
+        assert cli.main(["--out", str(tmp_path / "out.csv"), *command,
+                         "--config", str(tmp_path / "small.cfg"), "--graph",
+                         "ring", "--n", "4", "--rounds", "3", "--runs", "1"]) == 0
+        assert stacks == [(4, 3, 3)], command
 
 
 def _lipschitz_loop(problem):
